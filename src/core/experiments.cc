@@ -902,10 +902,6 @@ makeCores(sys::System &system, const workload::Mix &mix,
 
 constexpr Tick kPerfRunCap = 80 * sim::kMs;
 
-} // namespace
-
-namespace {
-
 /** Weighted speedup of @p mix on a system with @p kind at @p nrh. */
 double
 sharedWs(DefenseKind kind, std::uint32_t nrh, const workload::Mix &mix,
@@ -925,77 +921,33 @@ sharedWs(DefenseKind kind, std::uint32_t nrh, const workload::Mix &mix,
     return stats::weightedSpeedup(ipc_shared, ipc_alone);
 }
 
-/** Alone IPC per app of a mix on the unprotected system. */
-std::vector<double>
-aloneIpcs(const workload::Mix &mix, std::uint64_t insts_per_core)
+} // namespace
+
+PerfBaseline
+perfBaseline(const workload::Mix &mix, std::uint64_t insts_per_core)
 {
-    std::vector<double> ipc_alone;
+    PerfBaseline base;
     for (const auto &app : mix.apps) {
-        sys::SystemConfig cfg =
-            sys::SystemConfig::paper(DefenseKind::kNone, 1024);
-        sys::System system(cfg);
+        sys::System system(
+            sys::SystemConfig::paper(DefenseKind::kNone, 1024));
         workload::Mix solo{mix.name + "-solo", {app}};
         auto cores = makeCores(system, solo, insts_per_core);
         runCoresToBudget(system, cores, kPerfRunCap);
-        ipc_alone.push_back(cores[0]->ipcAt(system.now()));
+        base.ipc_alone.push_back(cores[0]->ipcAt(system.now()));
     }
-    return ipc_alone;
+    // kNone builds no defense, so the NRH passed here is never read.
+    base.ws = sharedWs(DefenseKind::kNone, 1024, mix, base.ipc_alone,
+                       insts_per_core);
+    return base;
 }
-
-} // namespace
 
 double
-runPerfCell(DefenseKind kind, std::uint32_t nrh,
-            const std::vector<workload::Mix> &mixes, std::uint32_t cores,
-            std::uint64_t insts_per_core)
+normalizedWs(DefenseKind kind, std::uint32_t nrh, const workload::Mix &mix,
+             const PerfBaseline &base, std::uint64_t insts_per_core)
 {
-    (void)cores;
-    double total_norm_ws = 0.0;
-    for (const auto &mix : mixes) {
-        const auto ipc_alone = aloneIpcs(mix, insts_per_core);
-        const double ws_base = sharedWs(DefenseKind::kNone, nrh, mix,
-                                        ipc_alone, insts_per_core);
-        const double ws_def =
-            sharedWs(kind, nrh, mix, ipc_alone, insts_per_core);
-        total_norm_ws += ws_base > 0.0 ? ws_def / ws_base : 0.0;
-    }
-    return total_norm_ws / static_cast<double>(mixes.size());
-}
-
-std::vector<PerfPoint>
-runMitigationPerf(const PerfSpec &spec)
-{
-    const auto mixes =
-        workload::makeMixes(spec.mixes, spec.cores, spec.seed);
-
-    // Per-mix baselines are shared across every (defense, NRH) cell.
-    std::vector<std::vector<double>> alone;
-    std::vector<double> ws_base;
-    for (const auto &mix : mixes) {
-        alone.push_back(aloneIpcs(mix, spec.insts_per_core));
-        ws_base.push_back(sharedWs(DefenseKind::kNone, 1024, mix,
-                                   alone.back(), spec.insts_per_core));
-    }
-
-    std::vector<PerfPoint> points;
-    for (auto nrh : spec.nrh_values) {
-        for (auto kind : spec.defenses) {
-            double total = 0.0;
-            for (std::size_t m = 0; m < mixes.size(); ++m) {
-                const double ws_def =
-                    sharedWs(kind, nrh, mixes[m], alone[m],
-                             spec.insts_per_core);
-                total += ws_base[m] > 0.0 ? ws_def / ws_base[m] : 0.0;
-            }
-            PerfPoint point;
-            point.defense = defense::defenseName(kind);
-            point.nrh = nrh;
-            point.normalized_ws =
-                total / static_cast<double>(mixes.size());
-            points.push_back(point);
-        }
-    }
-    return points;
+    const double ws =
+        sharedWs(kind, nrh, mix, base.ipc_alone, insts_per_core);
+    return base.ws > 0.0 ? ws / base.ws : 0.0;
 }
 
 } // namespace leaky::core

@@ -336,33 +336,23 @@ runMappingRecoveryCell(const dram::MappingSpec &mapping,
 
 // ------------------------------------------------------------- Fig. 13
 
-/** One cell of the Fig. 13 sweep. */
-struct PerfPoint {
-    std::string defense;
-    std::uint32_t nrh = 0;
-    double normalized_ws = 0.0; ///< vs. the no-mitigation baseline.
+/** A mix's unprotected reference point: everything a Fig. 13 cell
+ *  needs that does not depend on the cell's (defense, NRH). */
+struct PerfBaseline {
+    std::vector<double> ipc_alone; ///< Per app, run alone, no defense.
+    double ws = 0.0;               ///< Shared weighted speedup, no defense.
 };
 
-/** Performance-evaluation options. */
-struct PerfSpec {
-    std::vector<std::uint32_t> nrh_values = {1024, 512, 256, 128, 64};
-    std::vector<defense::DefenseKind> defenses = {
-        defense::DefenseKind::kPrac, defense::DefenseKind::kPrfm,
-        defense::DefenseKind::kPracRiac, defense::DefenseKind::kFrRfm,
-        defense::DefenseKind::kPracBank};
-    std::uint32_t mixes = 60;
-    std::uint32_t cores = 4;
-    std::uint64_t insts_per_core = 200'000;
-    std::uint64_t seed = 42;
-};
+/** Alone IPCs and undefended shared WS of @p mix. A pure function of
+ *  its arguments, so callers may compute it once per mix. */
+PerfBaseline perfBaseline(const workload::Mix &mix,
+                          std::uint64_t insts_per_core);
 
-/** Run the Fig. 13 sweep (normalized weighted speedup). */
-std::vector<PerfPoint> runMitigationPerf(const PerfSpec &spec);
-
-/** Weighted speedup of one (defense, nrh, mixes) cell. */
-double runPerfCell(defense::DefenseKind kind, std::uint32_t nrh,
-                   const std::vector<workload::Mix> &mixes,
-                   std::uint32_t cores, std::uint64_t insts_per_core);
+/** Weighted speedup of @p mix under @p kind at @p nrh, normalized to
+ *  @p base (0 when the baseline WS is 0). */
+double normalizedWs(defense::DefenseKind kind, std::uint32_t nrh,
+                    const workload::Mix &mix, const PerfBaseline &base,
+                    std::uint64_t insts_per_core);
 
 } // namespace leaky::core
 

@@ -181,13 +181,21 @@ runMitigationDemo(std::uint32_t nrh)
     core::banner("Defense comparison at NRH = " + std::to_string(nrh));
 
     const auto mixes = workload::makeMixes(3, 4, 7);
+    constexpr std::uint64_t kInsts = 100'000;
+    std::vector<core::PerfBaseline> baselines;
+    for (const auto &mix : mixes)
+        baselines.push_back(core::perfBaseline(mix, kInsts));
     core::Table table({"defense", "channel capacity", "normalized WS"});
     for (auto kind :
          {defense::DefenseKind::kPrac, defense::DefenseKind::kPrfm,
           defense::DefenseKind::kPracRiac, defense::DefenseKind::kFrRfm,
           defense::DefenseKind::kPracBank}) {
         const double capacity = channelCapacityAgainst(kind, nrh);
-        const double ws = core::runPerfCell(kind, nrh, mixes, 4, 100'000);
+        double ws = 0.0;
+        for (std::size_t m = 0; m < mixes.size(); ++m)
+            ws += core::normalizedWs(kind, nrh, mixes[m], baselines[m],
+                                     kInsts);
+        ws /= static_cast<double>(mixes.size());
         table.addRow({defense::defenseName(kind),
                       core::fmtKbps(capacity), core::fmt(ws, 3)});
         std::printf("%-10s capacity %-12s normalized WS %.3f\n",

@@ -9,7 +9,10 @@
 
 #include "runner/figures_internal.hh"
 
+#include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "attack/message.hh"
 #include "core/experiments.hh"
@@ -116,6 +119,12 @@ thresholdFigure()
 
 // ----------------------------------------------------------- Fig. 13
 
+/** One mix's baseline, filled by whichever job needs it first. */
+struct BaselineSlot {
+    std::once_flag once;
+    core::PerfBaseline base;
+};
+
 Figure
 mitigationFigure()
 {
@@ -163,14 +172,21 @@ mitigationFigure()
         // the Fig.-13 workload set once and share it across jobs.
         const auto all_mixes =
             workload::makeMixes(mixes, 4, spec.base_seed);
-        spec.job = [all_mixes, insts](const Job &job) -> JobRows {
-            const auto &mix =
-                all_mixes[static_cast<std::size_t>(job.param("mix"))];
-            const double ws = core::runPerfCell(
+        // A mix's baseline does not depend on (defense, NRH), so the
+        // first job of each mix computes it and the rest reuse it.
+        // Filled inside jobs, never here, so it runs in parallel.
+        auto baselines = std::make_shared<std::vector<BaselineSlot>>(mixes);
+        spec.job = [all_mixes, baselines, insts](const Job &job) -> JobRows {
+            const auto m = static_cast<std::size_t>(job.param("mix"));
+            BaselineSlot &slot = (*baselines)[m];
+            std::call_once(slot.once, [&] {
+                slot.base = core::perfBaseline(all_mixes[m], insts);
+            });
+            const double ws = core::normalizedWs(
                 static_cast<DefenseKind>(
                     static_cast<int>(job.param("defense"))),
-                static_cast<std::uint32_t>(job.param("nrh")), {mix}, 4,
-                insts);
+                static_cast<std::uint32_t>(job.param("nrh")),
+                all_mixes[m], slot.base, insts);
             return {{job.param("defense"), job.param("nrh"),
                      job.param("mix"), ws}};
         };

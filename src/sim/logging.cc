@@ -3,15 +3,9 @@
 namespace leaky::sim::detail {
 
 void
-emit(const char *kind, const std::string &msg)
-{
-    std::fprintf(stderr, "%s: %s\n", kind, msg.c_str());
-}
-
-void
 terminate(const char *kind, const std::string &msg, bool core_dump)
 {
-    emit(kind, msg);
+    std::fprintf(stderr, "%s: %s\n", kind, msg.c_str());
     if (core_dump)
         std::abort();
     std::exit(1);

@@ -2,7 +2,7 @@
  * @file
  * gem5-style status and error reporting. panic() flags simulator bugs
  * (invariant violations) and aborts; fatal() flags user/configuration
- * errors and exits cleanly; warn()/inform() print and continue.
+ * errors and exits cleanly.
  */
 
 #ifndef LEAKY_SIM_LOGGING_HH
@@ -19,7 +19,6 @@ namespace detail {
 
 [[noreturn]] void terminate(const char *kind, const std::string &msg,
                             bool core_dump);
-void emit(const char *kind, const std::string &msg);
 [[noreturn]] void assertFail(const char *cond, const std::string &msg);
 
 template <typename... Args>
@@ -57,22 +56,6 @@ fatal(const char *fmt, Args &&...args)
 {
     detail::terminate("fatal", detail::format(fmt,
                       std::forward<Args>(args)...), false);
-}
-
-/** Non-fatal warning about questionable behaviour. */
-template <typename... Args>
-void
-warn(const char *fmt, Args &&...args)
-{
-    detail::emit("warn", detail::format(fmt, std::forward<Args>(args)...));
-}
-
-/** Informational status message. */
-template <typename... Args>
-void
-inform(const char *fmt, Args &&...args)
-{
-    detail::emit("info", detail::format(fmt, std::forward<Args>(args)...));
 }
 
 /** panic() unless the condition holds. */
