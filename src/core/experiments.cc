@@ -33,14 +33,27 @@ prfmAttackSystem()
 }
 
 sys::SystemConfig
-trackerAttackSystem(DefenseKind kind)
+crossDefenseSystemConfig(DefenseKind kind)
 {
-    LEAKY_ASSERT(kind == DefenseKind::kGraphene ||
-                     kind == DefenseKind::kHydra,
-                 "not a tracker defense: %s", defense::defenseName(kind));
-    // NRH = 160 matches the PRAC attack studies' threat level; the
-    // policy derives a targeted-refresh threshold of 80.
+    if (channelKindFor(kind) == ChannelKind::kPrac) {
+        sys::SystemConfig sys_cfg = pracAttackSystem();
+        sys_cfg.defense.kind = kind;
+        return sys_cfg;
+    }
+    if (kind == DefenseKind::kPrfm)
+        return prfmAttackSystem();
+    // NRH = 160 matches the PRAC attack studies' threat level; for the
+    // trackers the policy derives a targeted-refresh threshold of 80.
     return sys::SystemConfig::paper(kind, 160);
+}
+
+ChannelKind
+channelKindFor(DefenseKind kind)
+{
+    const bool prac_family = kind == DefenseKind::kPrac ||
+                             kind == DefenseKind::kPracRiac ||
+                             kind == DefenseKind::kPracBank;
+    return prac_family ? ChannelKind::kPrac : ChannelKind::kRfm;
 }
 
 // ------------------------------------------------------------- Fig. 2
@@ -112,12 +125,11 @@ channelSystemConfig(const ChannelRunSpec &spec)
     sys::SystemConfig cfg = spec.kind == ChannelKind::kPrac
                                 ? pracAttackSystem()
                                 : prfmAttackSystem();
+    if (spec.defense)
+        cfg.defense = *spec.defense;
+    cfg.defense.seed = spec.seed;
     cfg.channels = spec.channels;
     cfg.mapping = spec.mapping;
-    cfg.defense.rfms_per_backoff = spec.rfms_per_backoff;
-    cfg.defense.backoff_rfm_latency = spec.backoff_rfm_latency;
-    cfg.defense.aboact_override = spec.aboact_override;
-    cfg.defense.seed = spec.seed;
     cfg.ctrl.deterministic_refresh = spec.filter_refresh;
     return cfg;
 }
@@ -149,44 +161,60 @@ attachBackground(sys::System &system,
     return cores;
 }
 
-/** §9.1 idiom for a non-colocated receiver, shared by every cell that
- *  moves the receiver out of the sender's bank: the sender alternates
- *  two of its own rows (every access conflicts) and, under PRAC,
- *  charges the counters alone over a doubled window. */
-void
-selfConflictSender(attack::CovertConfig &cfg,
-                   const dram::AddressMapper &mapper,
-                   std::uint32_t sender_channel, ChannelKind kind)
-{
-    cfg.sender_addr2 =
-        attack::rowAddress(mapper, sender_channel, 0, 0, 0, 1064);
-    if (kind == ChannelKind::kPrac)
-        cfg.window = 50 * sim::kUs;
-}
+} // namespace
 
 attack::CovertConfig
 channelConfig(sys::System &system, const ChannelRunSpec &spec)
 {
     attack::CovertConfig cfg = attack::makeChannelConfig(
         system, spec.kind, spec.levels, spec.sender_channel);
-    if (spec.receiver_channel != spec.sender_channel) {
-        // Cross-channel placement: the receiver listens on its own
-        // channel's defense, and the sender self-conflicts (§9.1).
+    const bool colocated = spec.receiver_channel == spec.sender_channel &&
+                           spec.receiver_bankgroup == 0 &&
+                           spec.receiver_bank == 0;
+    if (spec.assumed_mapping) {
+        LEAKY_ASSERT(colocated,
+                     "assumed_mapping places both endpoints itself");
+        // The attacker massages its pages through the mapping it
+        // reverse engineered (§5.2): compose through the ASSUMED
+        // function, decode through the actual one (the same
+        // composition path the mapping-recovery attacker feeds its
+        // learned function into).
+        const sys::SystemConfig &sys_cfg = system.config();
+        const dram::MappingFunction assumed(
+            sys_cfg.ctrl.dram.org, sys_cfg.channels, *spec.assumed_mapping);
+        cfg.sender_addr = attack::rowAddress(
+            assumed, spec.sender_channel, 0, 2, 1, 1000);
+        cfg.receiver_addr = attack::rowAddress(
+            assumed, spec.sender_channel, 0, 2, 1, 2000);
+    } else if (!colocated) {
+        // §9.1 non-colocated receiver: it listens in its own bank (or
+        // on its own channel's defense); the sender alternates two of
+        // its own rows so every access conflicts and, under PRAC,
+        // charges the counters alone over a doubled window.
         cfg.receiver_channel = spec.receiver_channel;
         cfg.receiver_addr = attack::rowAddress(
-            system.mapper(), spec.receiver_channel, 0, 0, 0, 2000);
-        selfConflictSender(cfg, system.mapper(), spec.sender_channel,
-                           spec.kind);
+            system.mapper(), spec.receiver_channel, 0,
+            spec.receiver_bankgroup, spec.receiver_bank, 2000);
+        cfg.sender_addr2 = attack::rowAddress(
+            system.mapper(), spec.sender_channel, 0, 0, 0, 1064);
+        if (spec.kind == ChannelKind::kPrac)
+            cfg.window = 50 * sim::kUs;
     }
-    const auto &timing =
-        system.controller(spec.sender_channel).config().dram.timing;
-    if (spec.backoff_rfm_latency || spec.aboact_override) {
-        // Re-derive thresholds for the modified back-off latency. The
-        // controller's timing already carries the overrides.
-        cfg.classifier = attack::LatencyClassifier::forTiming(
-            timing, 90'000, spec.rfms_per_backoff);
+    if (spec.window)
+        cfg.window = spec.window;
+    const DefenseKind defense = system.config().defense.kind;
+    if (defense == DefenseKind::kGraphene ||
+        defense == DefenseKind::kHydra) {
+        // Tracker receiver: two slow events per window, with the
+        // slow-event threshold calibrated to the VRR window (shorter
+        // than a full RFM), keeping Hydra's sub-band counter fetches
+        // out of the detection class.
+        cfg.trecv = 2;
+        cfg.classifier.rfm_min = 200'000;
     }
     if (spec.filter_refresh) {
+        const auto &timing =
+            system.controller(spec.sender_channel).config().dram.timing;
         cfg.refresh_blackout = true;
         cfg.refi = timing.tREFI;
         cfg.blackout_post = timing.tRFC + 300'000;
@@ -195,8 +223,6 @@ channelConfig(sys::System &system, const ChannelRunSpec &spec)
         cfg.classifier.backoff_min = spec.backoff_min_override;
     return cfg;
 }
-
-} // namespace
 
 attack::ChannelResult
 runChannelOn(sys::System &system, const ChannelRunSpec &spec)
@@ -397,7 +423,7 @@ fingerprintDataset(const std::vector<FingerprintSample> &raw,
     return data;
 }
 
-// ----------------------------------------------- §9.1, §11.4, §12, T3
+// ------------------------------------------------------------- §9.1
 
 CounterLeakTrial
 runCounterLeakTrial(std::uint32_t secret)
@@ -443,121 +469,7 @@ runCounterLeakTrial(std::uint32_t secret)
     return trial;
 }
 
-attack::ChannelResult
-runCountermeasureCell(const CountermeasureCellSpec &spec)
-{
-    sys::SystemConfig sys_cfg = pracAttackSystem();
-    sys_cfg.defense.kind = spec.kind;
-    sys_cfg.defense.seed = spec.seed;
-    if (spec.kind == DefenseKind::kFrRfm) {
-        sys_cfg.defense.nrh = 160;
-        sys_cfg.defense.nbo_override = 0;
-    }
-    sys::System system(sys_cfg);
-
-    attack::CovertConfig cfg =
-        attack::makeChannelConfig(system, ChannelKind::kPrac);
-    if (spec.cross_bank) {
-        // Receiver in a different bank group/bank than the sender
-        // (Bank-Level PRAC's scope reduction).
-        cfg.receiver_addr =
-            attack::rowAddress(system.mapper(), 0, 0, 4, 2, 2000);
-        selfConflictSender(cfg, system.mapper(), 0,
-                           ChannelKind::kPrac);
-    }
-
-    std::unique_ptr<attack::NoiseAgent> noise;
-    if (spec.noise_sleep > 0) {
-        attack::NoiseConfig noise_cfg;
-        noise_cfg.addrs = attack::rowsInBank(system.mapper(), 0, 0, 0,
-                                             0, 3000, 6, 512);
-        noise_cfg.sleep = spec.noise_sleep;
-        noise = std::make_unique<attack::NoiseAgent>(system, noise_cfg);
-        noise->start();
-    }
-
-    const auto bits = attack::patternBits(
-        attack::MessagePattern::kCheckered0, spec.message_bytes * 8);
-    return attack::runCovertChannel(
-        system, cfg, attack::symbolsFromBits(bits, 2));
-}
-
-attack::ChannelResult
-runTriggerCell(DefenseKind kind, double para_probability,
-               std::size_t message_bytes, std::uint64_t seed)
-{
-    sys::SystemConfig sys_cfg = pracAttackSystem();
-    sys_cfg.defense.kind = kind;
-    sys_cfg.defense.para_probability = para_probability;
-    sys_cfg.defense.seed = seed;
-    sys::System system(sys_cfg);
-
-    // Receiver strategy per defense: PRAC's big back-offs use the
-    // back-off detector; PRFM/PARA preventive actions are smaller, so
-    // the receiver counts slow events per window against Trecv.
-    attack::CovertConfig cfg = attack::makeChannelConfig(
-        system, kind == DefenseKind::kPrac ? ChannelKind::kPrac
-                                           : ChannelKind::kRfm);
-    cfg.window = 25 * sim::kUs;
-    cfg.trecv = 3;
-
-    const auto bits = attack::patternBits(
-        attack::MessagePattern::kCheckered0, message_bytes * 8);
-    return attack::runCovertChannel(
-        system, cfg, attack::symbolsFromBits(bits, 2));
-}
-
-attack::ChannelResult
-runGranularityCell(ChannelKind kind, int bankgroup, int bank,
-                   std::size_t message_bytes, std::uint64_t seed)
-{
-    sys::SystemConfig sys_cfg = kind == ChannelKind::kPrac
-                                    ? pracAttackSystem()
-                                    : prfmAttackSystem();
-    sys_cfg.defense.seed = seed;
-    sys::System system(sys_cfg);
-    attack::CovertConfig cfg = attack::makeChannelConfig(system, kind);
-    if (bankgroup >= 0) {
-        // Non-colocated receiver: the sender must self-conflict, and
-        // charging the counters alone takes ~2x as long per bit.
-        cfg.receiver_addr = attack::rowAddress(
-            system.mapper(), 0, 0,
-            static_cast<std::uint32_t>(bankgroup),
-            static_cast<std::uint32_t>(bank), 2000);
-        selfConflictSender(cfg, system.mapper(), 0, kind);
-    }
-    const auto bits = attack::patternBits(
-        attack::MessagePattern::kCheckered1, message_bytes * 8);
-    return attack::runCovertChannel(
-        system, cfg, attack::symbolsFromBits(bits, 2));
-}
-
-// ------------------------- multi-channel scaling + mapping diversity
-
-CrossChannelResult
-runCrossChannelCell(const CrossChannelSpec &spec)
-{
-    LEAKY_ASSERT(spec.channels >= (spec.cross ? 2u : 1u),
-                 "cross-channel cell needs a second channel");
-    ChannelRunSpec run;
-    run.kind = ChannelKind::kPrac;
-    run.channels = spec.channels;
-    run.sender_channel = 0;
-    run.receiver_channel = spec.cross ? 1 : 0;
-    run.pattern = spec.pattern;
-    run.message_bytes = spec.message_bytes;
-    run.seed = spec.seed;
-
-    sys::System system(channelSystemConfig(run));
-    CrossChannelResult out;
-    out.channel = runChannelOn(system, run);
-    out.tx_actions =
-        system.stats(run.sender_channel).preventiveActions();
-    out.rx_actions =
-        system.stats(run.receiver_channel).preventiveActions();
-    out.aggregate_actions = system.aggregateStats().preventiveActions();
-    return out;
-}
+// -------------------------------------------- multi-channel scaling
 
 MultiChannelResult
 runMultiChannelAggregate(const MultiChannelSpec &spec)
@@ -618,38 +530,6 @@ runMultiChannelAggregate(const MultiChannelSpec &spec)
     }
     out.aggregate_actions = system.aggregateStats().preventiveActions();
     return out;
-}
-
-attack::ChannelResult
-runMappingOrderCell(const dram::MappingSpec &actual,
-                    const dram::MappingSpec &assumed,
-                    std::size_t message_bytes, std::uint64_t seed)
-{
-    ChannelRunSpec spec;
-    spec.kind = ChannelKind::kPrac;
-    spec.mapping = actual;
-    spec.message_bytes = message_bytes;
-    spec.seed = seed;
-    const sys::SystemConfig sys_cfg = channelSystemConfig(spec);
-    sys::System system(sys_cfg);
-
-    attack::CovertConfig cfg = channelConfig(system, spec);
-    // The attacker massages its pages through the mapping it reverse
-    // engineered (§5.2) — compose through the ASSUMED MappingFunction,
-    // decode through the actual one (the same composition path the
-    // mapping-recovery attacker feeds its learned function into). A
-    // non-trivial bank coordinate (bg 2, bank 1) keeps the functions
-    // distinguishable: at all-zero low fields every preset degenerates
-    // to the same line index.
-    const dram::MappingFunction assumed_fn(sys_cfg.ctrl.dram.org,
-                                           sys_cfg.channels, assumed);
-    cfg.sender_addr = attack::rowAddress(assumed_fn, 0, 0, 2, 1, 1000);
-    cfg.receiver_addr = attack::rowAddress(assumed_fn, 0, 0, 2, 1, 2000);
-
-    const auto bits = attack::patternBits(
-        attack::MessagePattern::kCheckered0, message_bytes * 8);
-    return attack::runCovertChannel(system, cfg,
-                                    attack::symbolsFromBits(bits, 2));
 }
 
 // ------------------------------- online mapping recovery (ROADMAP 2)
@@ -757,107 +637,6 @@ runMappingRecoveryCell(const dram::MappingSpec &mapping,
     out.row_match =
         out.recovered.row_solved && got_joint.sameSpan(true_joint);
     return out;
-}
-
-// --------------------------------------- tracker family (cross-defense)
-
-namespace {
-
-/** Receiver configuration for a defense whose observable is a
- *  bank-blocking window (RFM / targeted refresh): count slow events
- *  against Trecv. The tracker receiver calibrates its slow-event
- *  threshold to the VRR window (shorter than a full RFM), keeping
- *  Hydra's sub-band counter fetches out of the detection class. */
-attack::CovertConfig
-trackerChannelConfig(sys::System &system)
-{
-    attack::CovertConfig cfg =
-        attack::makeChannelConfig(system, ChannelKind::kRfm);
-    cfg.trecv = 2;
-    cfg.classifier.rfm_min = 200'000;
-    return cfg;
-}
-
-std::unique_ptr<attack::NoiseAgent>
-attachNoise(sys::System &system, Tick noise_sleep)
-{
-    if (noise_sleep == 0)
-        return nullptr;
-    attack::NoiseConfig noise_cfg;
-    noise_cfg.addrs = attack::rowsInBank(system.mapper(), 0, 0, 0, 0,
-                                         3000, 6, 512);
-    noise_cfg.sleep = noise_sleep;
-    auto noise = std::make_unique<attack::NoiseAgent>(system, noise_cfg);
-    noise->start();
-    return noise;
-}
-
-} // namespace
-
-sys::SystemConfig
-crossDefenseSystemConfig(DefenseKind kind)
-{
-    const bool prac_family = kind == DefenseKind::kPrac ||
-                             kind == DefenseKind::kPracRiac ||
-                             kind == DefenseKind::kPracBank;
-    if (prac_family) {
-        sys::SystemConfig sys_cfg = pracAttackSystem();
-        sys_cfg.defense.kind = kind;
-        return sys_cfg;
-    }
-    if (kind == DefenseKind::kPrfm)
-        return prfmAttackSystem();
-    if (kind == DefenseKind::kGraphene || kind == DefenseKind::kHydra)
-        return trackerAttackSystem(kind);
-    return sys::SystemConfig::paper(kind, 160);
-}
-
-attack::CovertConfig
-crossDefenseChannelConfig(sys::System &system, DefenseKind kind)
-{
-    const bool prac_family = kind == DefenseKind::kPrac ||
-                             kind == DefenseKind::kPracRiac ||
-                             kind == DefenseKind::kPracBank;
-    if (prac_family)
-        return attack::makeChannelConfig(system, ChannelKind::kPrac);
-    if (kind == DefenseKind::kGraphene || kind == DefenseKind::kHydra)
-        return trackerChannelConfig(system);
-    return attack::makeChannelConfig(system, ChannelKind::kRfm);
-}
-
-attack::ChannelResult
-runCrossDefenseCell(DefenseKind kind, Tick noise_sleep,
-                    std::size_t message_bytes, std::uint64_t seed)
-{
-    sys::SystemConfig sys_cfg = crossDefenseSystemConfig(kind);
-    sys_cfg.defense.seed = seed;
-    sys::System system(sys_cfg);
-
-    attack::CovertConfig cfg = crossDefenseChannelConfig(system, kind);
-
-    auto noise = attachNoise(system, noise_sleep);
-    const auto bits = attack::patternBits(
-        attack::MessagePattern::kCheckered0, message_bytes * 8);
-    return attack::runCovertChannel(
-        system, cfg, attack::symbolsFromBits(bits, 2));
-}
-
-attack::ChannelResult
-runTrackerThresholdCell(DefenseKind kind, std::uint32_t threshold,
-                        std::uint32_t cc_entries,
-                        std::size_t message_bytes, std::uint64_t seed)
-{
-    sys::SystemConfig sys_cfg = trackerAttackSystem(kind);
-    sys_cfg.defense.tracker_threshold_override = threshold;
-    sys_cfg.defense.hydra_cc_entries = cc_entries;
-    sys_cfg.defense.seed = seed;
-    sys::System system(sys_cfg);
-
-    attack::CovertConfig cfg = trackerChannelConfig(system);
-    const auto bits = attack::patternBits(
-        attack::MessagePattern::kCheckered0, message_bytes * 8);
-    return attack::runCovertChannel(
-        system, cfg, attack::symbolsFromBits(bits, 2));
 }
 
 // ------------------------------------------------------------- Fig. 13

@@ -1,10 +1,13 @@
 /**
  * @file
- * High-level experiment runners: one function per family of paper
- * results, shared by the bench/ binaries and the examples. Each runner
- * builds a fresh System (paper Table 1 configuration), attaches the
- * necessary agents/cores, runs the event queue, and returns the numbers
- * the corresponding figure/table plots.
+ * High-level experiment runners shared by the figure registry and the
+ * examples. Every covert-channel cell -- the headline channels, the
+ * countermeasures, the trigger classes, the colocation and topology
+ * variants -- is one ChannelRunSpec run through runChannel; the other
+ * runners (latency trace, fingerprinting, counter leak, mapping
+ * recovery, performance) each build a fresh System (paper Table 1
+ * configuration), attach their agents/cores, run the event queue, and
+ * return the numbers the corresponding figure/table plots.
  *
  * Scale knobs: every runner takes explicit sizes; the figure registry
  * (src/runner/figures*.cc) picks them per smoke / default / full scale
@@ -15,6 +18,7 @@
 #define LEAKY_CORE_EXPERIMENTS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,9 +42,17 @@ sys::SystemConfig pracAttackSystem();
 /** Paper §7 system: PRFM with TRFM = 40. */
 sys::SystemConfig prfmAttackSystem();
 
-/** Tracker-family system (Graphene / Hydra) at the attack-study
- *  operating point: NRH = 160, targeted-refresh threshold 80. */
-sys::SystemConfig trackerAttackSystem(defense::DefenseKind kind);
+/** The attack operating point of defense @p kind: PRAC family at
+ *  NBO = 128 (pracAttackSystem), PRFM at TRFM = 40 (prfmAttackSystem),
+ *  everything else (FR-RFM, PARA, the Graphene / Hydra trackers) at the
+ *  paper defaults for NRH = 160, the PRAC studies' threat level. */
+sys::SystemConfig crossDefenseSystemConfig(defense::DefenseKind kind);
+
+/** The covert channel that exploits @p kind's observable: back-off
+ *  detection for the PRAC family, slow-event counting for the rest
+ *  (RFM windows and targeted refreshes land in the same latency band,
+ *  above conflicts and below refreshes). */
+attack::ChannelKind channelKindFor(defense::DefenseKind kind);
 
 // ------------------------------------------------------------- Fig. 2
 
@@ -60,31 +72,44 @@ LatencyTraceResult runLatencyTrace(std::uint32_t iterations = 512,
 
 // -------------------------------------------------- Figs. 3-8 (covert)
 
-/** Options for one covert-channel run. */
+/**
+ * One covert-channel cell: a LeakyHammer sender and receiver on a
+ * defended system. The paper's covert results differ only in the
+ * defense, where the receiver sits, and the noise, so every covert
+ * figure, the fuzzer and figbench describe their cell with this spec.
+ */
 struct ChannelRunSpec {
     attack::ChannelKind kind = attack::ChannelKind::kPrac;
     std::uint32_t levels = 2;
+    /** The defense under attack; unset = `kind`'s own operating point
+     *  (pracAttackSystem / prfmAttackSystem). `seed` always overwrites
+     *  its seed. Graphene / Hydra switch the receiver to the tracker
+     *  calibration (see channelConfig). */
+    std::optional<defense::DefenseSpec> defense;
     /** Memory-channel topology: system channel count, the channels
-     *  the two endpoints target, and the physical-address mapping.
-     *  receiver_channel != sender_channel is the cross-channel
-     *  isolation scenario: the sender then alternates two of its own
-     *  rows (self-conflict) and PRAC runs a longer window, exactly as
-     *  in the non-colocated §9.1 variants. */
+     *  the two endpoints target, and the physical-address mapping. */
     std::uint32_t channels = 1;
     std::uint32_t sender_channel = 0;
     std::uint32_t receiver_channel = 0;
     dram::MappingSpec mapping;
+    /** Receiver's bank group and bank (rank 0). A receiver outside the
+     *  sender's (channel, bank group 0, bank 0) is non-colocated: the
+     *  sender then alternates two of its own rows (self-conflict) and
+     *  PRAC runs a doubled window, as in the §9.1 variants. */
+    std::uint32_t receiver_bankgroup = 0;
+    std::uint32_t receiver_bank = 0;
+    /** The mapping the attacker composes its rows through (§5.2, a
+     *  possibly wrong reverse-engineered mapping); unset = the system's
+     *  own. When set, both endpoints sit in bank group 2, bank 1 of the
+     *  sender's channel: at all-zero low fields every preset
+     *  degenerates to the same line index. */
+    std::optional<dram::MappingSpec> assumed_mapping;
     std::size_t message_bytes = 100;
     attack::MessagePattern pattern = attack::MessagePattern::kCheckered0;
     /** Noise microbenchmark sleep (0 = no noise agent). */
     Tick noise_sleep = 0;
     /** Concurrent SPEC-like apps (empty = none). */
     std::vector<workload::AppSpec> background;
-    std::uint32_t rfms_per_backoff = 4;
-    /** Override back-off RFM latency (Fig. 12 sweep); 0 = default. */
-    Tick backoff_rfm_latency = 0;
-    /** Override the post-alert normal-traffic window; 0 = default. */
-    Tick aboact_override = 0;
     /**
      * Pin refreshes to the tREFI grid (no postponing) and filter them
      * out at the receiver (paper footnote 6 and §10.1) -- used when
@@ -95,6 +120,9 @@ struct ChannelRunSpec {
     /** Override the receiver's back-off detection threshold (Fig. 12
      *  sweeps it against the preventive-action latency); 0 = derive. */
     Tick backoff_min_override = 0;
+    /** Transmission window; 0 = `kind`'s default (doubled for a
+     *  non-colocated PRAC receiver). */
+    Tick window = 0;
     /** Larger cache hierarchy + prefetchers for background apps
      *  (§10.3). */
     bool large_caches = false;
@@ -110,9 +138,15 @@ attack::ChannelResult runChannel(const ChannelRunSpec &spec);
 attack::ChannelResult runChannelOn(sys::System &system,
                                    const ChannelRunSpec &spec);
 
-/** System configuration a ChannelRunSpec implies (topology, defense
- *  overrides, mapping preset) — what runChannel builds internally. */
+/** System configuration a ChannelRunSpec implies (topology, defense,
+ *  mapping preset) — what runChannel builds internally. */
 sys::SystemConfig channelSystemConfig(const ChannelRunSpec &spec);
+
+/** Sender/receiver configuration of @p spec's cell on @p system —
+ *  what runChannelOn transmits with. Exposed so the pattern fuzzer
+ *  (src/fuzz) replays its patterns in exactly this cell. */
+attack::CovertConfig channelConfig(sys::System &system,
+                                   const ChannelRunSpec &spec);
 
 /** Average metrics over the four message patterns (§6.3, §7.3). */
 struct PatternSweepResult {
@@ -171,7 +205,7 @@ FingerprintSample collectOneFingerprint(const FingerprintSpec &spec,
 ml::Dataset fingerprintDataset(const std::vector<FingerprintSample> &raw,
                                std::uint32_t windows = 32);
 
-// ----------------------------------------------- §9.1, §11.4, §12, T3
+// ------------------------------------------------------------- §9.1
 
 /** One §9.1 counter-leak trial (Table 3's row-granular column). */
 struct CounterLeakTrial {
@@ -184,94 +218,7 @@ struct CounterLeakTrial {
 /** Prime the shared row's counter with @p secret and leak it back. */
 CounterLeakTrial runCounterLeakTrial(std::uint32_t secret);
 
-/** One §11.4 countermeasure scenario: the PRAC channel attacked
- *  against a protected system under ambient noise. */
-struct CountermeasureCellSpec {
-    defense::DefenseKind kind = defense::DefenseKind::kPrac;
-    /** Receiver outside the sender's bank (Bank-Level PRAC's scope
-     *  reduction); the sender self-conflicts between two rows. */
-    bool cross_bank = false;
-    Tick noise_sleep = 0; ///< Ambient Eq.-2 noise (0 = none).
-    std::size_t message_bytes = 25;
-    std::uint64_t seed = 1;
-};
-
-attack::ChannelResult
-runCountermeasureCell(const CountermeasureCellSpec &spec);
-
-/** §12 trigger-algorithm cell: exact triggers (PRAC, PRFM) vs the
- *  stateless random PARA at probability @p para_probability. */
-attack::ChannelResult runTriggerCell(defense::DefenseKind kind,
-                                     double para_probability,
-                                     std::size_t message_bytes,
-                                     std::uint64_t seed);
-
-/** Table 3 colocation cell: channel error with the receiver moved to
- *  (@p bankgroup, @p bank); (-1, -1) keeps the same-bank default. */
-attack::ChannelResult runGranularityCell(attack::ChannelKind kind,
-                                         int bankgroup, int bank,
-                                         std::size_t message_bytes,
-                                         std::uint64_t seed);
-
-// --------------------------------------- tracker family (cross-defense)
-
-/** System configuration of one cross-defense covert cell: the
- *  family-appropriate attack operating point for @p kind (PRAC
- *  NBO = 128, PRFM TRFM = 40, tracker NRH = 160, paper defaults
- *  otherwise). Exposed for reuse — the pattern fuzzer (src/fuzz)
- *  evaluates generated patterns in exactly this cell. */
-sys::SystemConfig crossDefenseSystemConfig(defense::DefenseKind kind);
-
-/** Receiver/channel configuration matching crossDefenseSystemConfig:
- *  back-off detection for the PRAC family, slow-event counting for
- *  the RFM/tracker families (targeted refreshes land in the RFM
- *  latency band, above conflicts and below refreshes). */
-attack::CovertConfig crossDefenseChannelConfig(sys::System &system,
-                                               defense::DefenseKind kind);
-
-/** One cross-defense covert cell: the generic LeakyHammer sender vs a
- *  system protected by @p kind, with Eq.-2 noise at @p noise_sleep.
- *  The receiver strategy adapts to the defense's observable: back-off
- *  detection for the PRAC family, slow-event counting for the
- *  RFM/tracker families (RFM windows and targeted refreshes land in
- *  the same latency band, above conflicts and below refreshes). */
-attack::ChannelResult runCrossDefenseCell(defense::DefenseKind kind,
-                                          Tick noise_sleep,
-                                          std::size_t message_bytes,
-                                          std::uint64_t seed);
-
-/** One tracker-threshold cell: a Graphene/Hydra system with the
- *  targeted-refresh threshold pinned to @p threshold (and, for Hydra,
- *  @p cc_entries counter-cache entries; 0 = default). */
-attack::ChannelResult runTrackerThresholdCell(defense::DefenseKind kind,
-                                              std::uint32_t threshold,
-                                              std::uint32_t cc_entries,
-                                              std::size_t message_bytes,
-                                              std::uint64_t seed);
-
-// ------------------------- multi-channel scaling + mapping diversity
-
-/** One cross-channel isolation cell (§5.2 threat-model negative
- *  control): the sender hammers channel 0; the receiver either
- *  colocates (the ordinary channel) or listens on channel 1, where the
- *  independent defense instance never fires for the sender's rows. */
-struct CrossChannelSpec {
-    std::uint32_t channels = 2;
-    bool cross = true; ///< Receiver on channel 1 (false = colocated).
-    attack::MessagePattern pattern = attack::MessagePattern::kCheckered0;
-    std::size_t message_bytes = 4;
-    std::uint64_t seed = 1;
-};
-
-struct CrossChannelResult {
-    /** Eq.-1 metrics + the RECEIVER channel's ground truth. */
-    attack::ChannelResult channel;
-    std::uint64_t tx_actions = 0; ///< Preventive actions, sender channel.
-    std::uint64_t rx_actions = 0; ///< Preventive actions, receiver channel.
-    std::uint64_t aggregate_actions = 0; ///< Summed over all channels.
-};
-
-CrossChannelResult runCrossChannelCell(const CrossChannelSpec &spec);
+// -------------------------------------------- multi-channel scaling
 
 /** One aggregate-scaling cell: an independent sender/receiver pair on
  *  EVERY channel, transmitting concurrently in one system. */
@@ -291,16 +238,6 @@ struct MultiChannelResult {
 };
 
 MultiChannelResult runMultiChannelAggregate(const MultiChannelSpec &spec);
-
-/** One mapping-diversity cell: the system decodes through @p actual
- *  while the attacker composes its rows through the @p assumed
- *  MappingFunction — the partially-wrong reverse-engineered mapping of
- *  §5.2. Equal specs reproduce the baseline PRAC channel; a mismatch
- *  scatters the attacker's "same-bank" pair and the channel collapses. */
-attack::ChannelResult runMappingOrderCell(const dram::MappingSpec &actual,
-                                          const dram::MappingSpec &assumed,
-                                          std::size_t message_bytes,
-                                          std::uint64_t seed);
 
 // ------------------------------- online mapping recovery (ROADMAP 2)
 

@@ -13,7 +13,6 @@
 #ifndef LEAKY_DRAM_ADDRESS_MAPPER_HH
 #define LEAKY_DRAM_ADDRESS_MAPPER_HH
 
-#include <array>
 #include <cstdint>
 
 #include "dram/config.hh"
@@ -40,17 +39,6 @@ class AddressMapper
      */
     AddressMapper(const Organization &org, std::uint32_t channels = 1,
                   const MappingSpec &spec = {});
-
-    /**
-     * Deprecated adapter for the pre-MappingSpec raw-field-order
-     * constructor. Equivalent to MappingSpec::fieldOrder(order).
-     */
-    [[deprecated("pass a MappingSpec (e.g. MappingSpec::fieldOrder)")]]
-    AddressMapper(const Organization &org, std::uint32_t channels,
-                  std::array<Field, kNumFields> order)
-        : AddressMapper(org, channels, MappingSpec::fieldOrder(order))
-    {
-    }
 
     /** Decode a physical byte address into DRAM coordinates. */
     Address decode(std::uint64_t phys_addr) const;

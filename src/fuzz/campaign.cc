@@ -64,12 +64,14 @@ EvalResult evaluatePattern(const HammerPattern &p, const EvalSpec &spec)
     LEAKY_ASSERT(p.validate(&error), "cannot evaluate invalid pattern: %s",
                  error.c_str());
 
-    sys::SystemConfig sys_cfg = core::crossDefenseSystemConfig(spec.defense);
-    sys_cfg.defense.seed = spec.seed;
-    sys::System system(sys_cfg);
+    core::ChannelRunSpec run;
+    run.kind = core::channelKindFor(spec.defense);
+    run.defense = core::crossDefenseSystemConfig(spec.defense).defense;
+    run.message_bytes = spec.message_bytes;
+    run.seed = spec.seed;
+    sys::System system(core::channelSystemConfig(run));
 
-    attack::CovertConfig cfg =
-        core::crossDefenseChannelConfig(system, spec.defense);
+    attack::CovertConfig cfg = core::channelConfig(system, run);
     const std::vector<std::uint32_t> slots = p.expand();
     cfg.sender_sequence.clear();
     cfg.sender_sequence.reserve(slots.size());
@@ -81,11 +83,11 @@ EvalResult evaluatePattern(const HammerPattern &p, const EvalSpec &spec)
     cfg.sender_addr = cfg.sender_sequence.front();
     cfg.sender_gaps = {p.gap};
 
-    const std::vector<bool> bits = attack::patternBits(
-        attack::MessagePattern::kCheckered0, spec.message_bytes * 8);
+    const std::vector<bool> bits =
+        attack::patternBits(run.pattern, run.message_bytes * 8);
     EvalResult out;
-    out.channel = attack::runCovertChannel(system, cfg,
-                                           attack::symbolsFromBits(bits, 2));
+    out.channel = attack::runCovertChannel(
+        system, cfg, attack::symbolsFromBits(bits, run.levels));
     out.score = scoreResult(out.channel);
     const std::size_t windows =
         out.channel.sent.empty() ? 1 : out.channel.sent.size();

@@ -9,11 +9,12 @@
  * fan the seven campaigns out over the work-stealing SweepPool, which
  * makes the whole search bit-identical for any thread count.
  *
- * The evaluation cell is exactly core::runCrossDefenseCell's system
- * and receiver (crossDefenseSystemConfig / crossDefenseChannelConfig);
- * only the sender differs: it replays the pattern's expanded access
- * sequence (CovertConfig::sender_sequence) instead of the hand-written
- * single-row hammer, with the pattern's gap as pacing.
+ * The evaluation cell is the cross-defense figure's noise-free
+ * core::ChannelRunSpec (crossDefenseSystemConfig's defense, the
+ * channelKindFor receiver), built through the same channelSystemConfig
+ * and channelConfig; only the sender differs: it replays the pattern's
+ * expanded access sequence (CovertConfig::sender_sequence) instead of
+ * the hand-written single-row hammer, with the pattern's gap as pacing.
  */
 
 #ifndef LEAKY_FUZZ_CAMPAIGN_HH

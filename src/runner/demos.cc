@@ -153,24 +153,16 @@ namespace {
 double
 channelCapacityAgainst(defense::DefenseKind kind, std::uint32_t nrh)
 {
-    sys::SystemConfig cfg = core::pracAttackSystem();
-    cfg.defense.kind = kind;
+    core::ChannelRunSpec run;
+    run.defense = core::pracAttackSystem().defense;
+    run.defense->kind = kind;
     if (kind == defense::DefenseKind::kFrRfm ||
         kind == defense::DefenseKind::kPrfm) {
-        cfg.defense.nrh = nrh;
-        cfg.defense.nbo_override = 0;
+        run.defense->nrh = nrh;
+        run.defense->nbo_override = 0;
     }
-    sys::System system(cfg);
-    auto channel_cfg =
-        attack::makeChannelConfig(system, attack::ChannelKind::kPrac);
-
-    const auto bits =
-        attack::patternBits(attack::MessagePattern::kCheckered0, 160);
-    std::vector<std::uint8_t> symbols;
-    for (bool b : bits)
-        symbols.push_back(b ? 1 : 0);
-    return attack::runCovertChannel(system, channel_cfg, symbols)
-        .capacity;
+    run.message_bytes = 20;
+    return core::runChannel(run).capacity;
 }
 
 } // namespace

@@ -75,24 +75,14 @@ thresholdFigure()
             const auto nrh =
                 static_cast<std::uint32_t>(job.param("nrh"));
             // Secure parameters derive from NRH via policy.hh; only
-            // the RIAC variant consumes randomness.
-            sys::SystemConfig cfg = sys::SystemConfig::paper(kind, nrh);
-            cfg.defense.seed = job.seed;
-            sys::System system(cfg);
-
-            // The receiver listens for the defense's own preventive
-            // action: back-offs for the PRAC family, RFM latency
-            // events for the RFM family.
-            const bool rfm_family = kind == DefenseKind::kPrfm ||
-                                    kind == DefenseKind::kFrRfm;
-            auto channel_cfg = attack::makeChannelConfig(
-                system,
-                rfm_family ? ChannelKind::kRfm : ChannelKind::kPrac);
-
-            const auto bits = attack::patternBits(
-                attack::MessagePattern::kCheckered0, bytes * 8);
-            const auto result = attack::runCovertChannel(
-                system, channel_cfg, attack::symbolsFromBits(bits, 2));
+            // the RIAC variant consumes randomness. The receiver
+            // listens for the defense's own preventive action.
+            core::ChannelRunSpec run;
+            run.kind = core::channelKindFor(kind);
+            run.defense = sys::SystemConfig::paper(kind, nrh).defense;
+            run.message_bytes = bytes;
+            run.seed = job.seed;
+            const auto result = core::runChannel(run);
             return {{job.param("defense"), job.param("nrh"),
                      result.raw_bit_rate, result.symbol_error,
                      result.capacity,
@@ -247,17 +237,24 @@ countermeasuresFigure()
         spec.job = [bytes](const Job &job) -> JobRows {
             const auto &scenario = kCountermeasureScenarios[
                 static_cast<std::size_t>(job.param("scenario"))];
-            core::CountermeasureCellSpec cell;
-            cell.kind = scenario.kind;
-            cell.cross_bank = scenario.cross_bank;
+            // The PRAC channel against each protected system.
+            core::ChannelRunSpec run;
+            run.defense =
+                core::crossDefenseSystemConfig(scenario.kind).defense;
+            if (scenario.cross_bank) {
+                // Receiver outside the sender's bank group and bank
+                // (Bank-Level PRAC's scope reduction).
+                run.receiver_bankgroup = 4;
+                run.receiver_bank = 2;
+            }
             // Ambient activity (the paper's noisy-environment
             // assumption for the RIAC evaluation, §11.2 footnote 12):
             // the Eq.-2 microbenchmark at 75% intensity, applied
             // identically to every scenario.
-            cell.noise_sleep = 650'000;
-            cell.message_bytes = bytes;
-            cell.seed = job.seed;
-            const auto result = core::runCountermeasureCell(cell);
+            run.noise_sleep = 650'000;
+            run.message_bytes = bytes;
+            run.seed = job.seed;
+            const auto result = core::runChannel(run);
             return {{job.param("scenario"), result.symbol_error,
                      result.capacity,
                      static_cast<double>(result.backoffs),
@@ -363,17 +360,17 @@ counterLeakFigure()
 struct GranularityScenario {
     const char *name;
     ChannelKind kind;
-    int bankgroup; ///< -1 keeps the same-bank default.
-    int bank;
+    std::uint32_t bankgroup; ///< Receiver's bank; (0, 0) = the sender's.
+    std::uint32_t bank;
 };
 
 constexpr GranularityScenario kGranularityScenarios[] = {
     // PRAC: receiver in an arbitrary other bank (bg 5, bank 3).
     {"PRAC, channel coloc.", ChannelKind::kPrac, 5, 3},
-    {"PRAC, same-bank coloc.", ChannelKind::kPrac, -1, -1},
+    {"PRAC, same-bank coloc.", ChannelKind::kPrac, 0, 0},
     // RFM: receiver shares the bank index (bg 5, bank 0).
     {"RFM, bank-group coloc.", ChannelKind::kRfm, 5, 0},
-    {"RFM, same-bank coloc.", ChannelKind::kRfm, -1, -1},
+    {"RFM, same-bank coloc.", ChannelKind::kRfm, 0, 0},
 };
 
 Figure
@@ -398,9 +395,14 @@ granularityFigure()
         spec.job = [bytes](const Job &job) -> JobRows {
             const auto &scenario = kGranularityScenarios[
                 static_cast<std::size_t>(job.param("scenario"))];
-            const auto result = core::runGranularityCell(
-                scenario.kind, scenario.bankgroup, scenario.bank,
-                bytes, job.seed);
+            core::ChannelRunSpec run;
+            run.kind = scenario.kind;
+            run.receiver_bankgroup = scenario.bankgroup;
+            run.receiver_bank = scenario.bank;
+            run.pattern = attack::MessagePattern::kCheckered1;
+            run.message_bytes = bytes;
+            run.seed = job.seed;
+            const auto result = core::runChannel(run);
             return {{job.param("scenario"), result.symbol_error,
                      result.capacity}};
         };
@@ -465,8 +467,20 @@ triggerFigure()
                 : scenario == 1 ? DefenseKind::kPrfm
                                 : DefenseKind::kPara;
             const double p = scenario >= 2 ? kParaP[scenario - 2] : 0.0;
-            const auto result =
-                core::runTriggerCell(kind, p, bytes, job.seed);
+            // Every trigger at the PRAC study's operating point; PRFM
+            // keeps its derived TRFM here, unlike prfmAttackSystem.
+            // PRAC's big back-offs use the back-off detector; PRFM/PARA
+            // preventive actions are smaller, so the receiver counts
+            // slow events per (25 us) window against Trecv.
+            core::ChannelRunSpec run;
+            run.kind = core::channelKindFor(kind);
+            run.defense = core::pracAttackSystem().defense;
+            run.defense->kind = kind;
+            run.defense->para_probability = p;
+            run.window = 25 * sim::kUs;
+            run.message_bytes = bytes;
+            run.seed = job.seed;
+            const auto result = core::runChannel(run);
             return {{job.param("scenario"), p, result.symbol_error,
                      result.capacity}};
         };

@@ -492,9 +492,10 @@ rfmCountFigure()
         spec.job = [bytes](const Job &job) -> JobRows {
             core::ChannelRunSpec run;
             run.kind = ChannelKind::kPrac;
-            run.rfms_per_backoff = static_cast<std::uint32_t>(
+            run.defense = core::pracAttackSystem().defense;
+            run.defense->rfms_per_backoff = static_cast<std::uint32_t>(
                 job.param("rfms_per_backoff"));
-            run.filter_refresh = run.rfms_per_backoff < 4;
+            run.filter_refresh = run.defense->rfms_per_backoff < 4;
             run.noise_sleep = stats::sleepForIntensity(
                 job.param("intensity"), 200'000, 2'000'000);
             run.message_bytes = bytes;
@@ -552,11 +553,12 @@ actionLatencyFigure()
                 static_cast<std::uint64_t>(job.param("latency_ns"));
             core::ChannelRunSpec run;
             run.kind = ChannelKind::kPrac;
-            run.rfms_per_backoff = 1;
-            run.backoff_rfm_latency = ns ? ns * 1000 : 1;
+            run.defense = core::pracAttackSystem().defense;
+            run.defense->rfms_per_backoff = 1;
+            run.defense->backoff_rfm_latency = ns ? ns * 1000 : 1;
             // Model the preventive action as immediately following
             // the triggering activation (paper Fig. 12 abstraction).
-            run.aboact_override = 1'000;
+            run.defense->aboact_override = 1'000;
             run.filter_refresh = true;
             // Detection threshold just above the conflict band: the
             // action partially overlaps the access's own precharge,

@@ -77,22 +77,30 @@ crossChannelFigure()
                         "tx_actions", "rx_actions",
                         "aggregate_actions"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            core::CrossChannelSpec cell;
-            cell.channels =
+            // The PRAC channel with its sender on channel 0 and the
+            // receiver colocated or on channel 1; the preventive
+            // actions are read per channel off the live system.
+            core::ChannelRunSpec run;
+            run.channels =
                 static_cast<std::uint32_t>(job.param("channels"));
-            cell.cross = job.param("placement") > 0.5;
-            cell.pattern = static_cast<attack::MessagePattern>(
+            run.receiver_channel = job.param("placement") > 0.5 ? 1 : 0;
+            run.pattern = static_cast<attack::MessagePattern>(
                 static_cast<int>(job.param("pattern")));
-            cell.message_bytes = bytes;
-            cell.seed = job.seed;
-            const auto result = core::runCrossChannelCell(cell);
+            run.message_bytes = bytes;
+            run.seed = job.seed;
+            sys::System system(core::channelSystemConfig(run));
+            const auto result = core::runChannelOn(system, run);
             return {{job.param("channels"), job.param("placement"),
-                     job.param("pattern"), result.channel.raw_bit_rate,
-                     result.channel.symbol_error,
-                     result.channel.capacity,
-                     static_cast<double>(result.tx_actions),
-                     static_cast<double>(result.rx_actions),
-                     static_cast<double>(result.aggregate_actions)}};
+                     job.param("pattern"), result.raw_bit_rate,
+                     result.symbol_error, result.capacity,
+                     static_cast<double>(
+                         system.stats(run.sender_channel)
+                             .preventiveActions()),
+                     static_cast<double>(
+                         system.stats(run.receiver_channel)
+                             .preventiveActions()),
+                     static_cast<double>(
+                         system.aggregateStats().preventiveActions())}};
         };
         return spec;
     };
@@ -230,8 +238,12 @@ mappingOrderFigure()
                 static_cast<int>(job.param("actual")));
             const auto assumed = static_cast<MappingPreset>(
                 static_cast<int>(job.param("assumed")));
-            const auto result = core::runMappingOrderCell(
-                actual, assumed, bytes, job.seed);
+            core::ChannelRunSpec run;
+            run.mapping = actual;
+            run.assumed_mapping = assumed;
+            run.message_bytes = bytes;
+            run.seed = job.seed;
+            const auto result = core::runChannel(run);
             return {{job.param("actual"), job.param("assumed"),
                      actual == assumed ? 1.0 : 0.0,
                      result.raw_bit_rate, result.symbol_error,

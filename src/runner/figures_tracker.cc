@@ -75,11 +75,14 @@ crossDefenseFigure()
         spec.job = [bytes](const Job &job) -> JobRows {
             const auto kind = static_cast<DefenseKind>(
                 static_cast<int>(job.param("defense")));
-            const auto result = core::runCrossDefenseCell(
-                kind,
-                stats::sleepForIntensity(job.param("intensity"),
-                                         200'000, 2'000'000),
-                bytes, job.seed);
+            core::ChannelRunSpec run;
+            run.kind = core::channelKindFor(kind);
+            run.defense = core::crossDefenseSystemConfig(kind).defense;
+            run.noise_sleep = stats::sleepForIntensity(
+                job.param("intensity"), 200'000, 2'000'000);
+            run.message_bytes = bytes;
+            run.seed = job.seed;
+            const auto result = core::runChannel(run);
             return {{job.param("defense"), job.param("intensity"),
                      result.raw_bit_rate, result.symbol_error,
                      result.capacity,
@@ -145,10 +148,14 @@ trackerThresholdFigure()
         spec.job = [bytes](const Job &job) -> JobRows {
             const auto kind = static_cast<DefenseKind>(
                 static_cast<int>(job.param("tracker")));
-            const auto result = core::runTrackerThresholdCell(
-                kind,
-                static_cast<std::uint32_t>(job.param("threshold")),
-                /*cc_entries=*/0, bytes, job.seed);
+            core::ChannelRunSpec run;
+            run.kind = core::channelKindFor(kind);
+            run.defense = core::crossDefenseSystemConfig(kind).defense;
+            run.defense->tracker_threshold_override =
+                static_cast<std::uint32_t>(job.param("threshold"));
+            run.message_bytes = bytes;
+            run.seed = job.seed;
+            const auto result = core::runChannel(run);
             return {{job.param("tracker"), job.param("threshold"),
                      result.symbol_error, result.capacity,
                      static_cast<double>(result.targeted_refreshes),

@@ -205,28 +205,19 @@ TEST(AddressMapper, AlternativeFieldOrderStillRoundTrips)
     EXPECT_EQ(back.column, addr.column);
 }
 
-/** The pre-MappingSpec raw-order constructor survives one release as
- *  a deprecated adapter; it must keep behaving exactly like the
- *  MappingSpec::fieldOrder spelling until it is removed. */
-TEST(AddressMapper, DeprecatedRawOrderCtorMatchesFieldOrderSpec)
+/** fieldOrder canonicalizes a preset-equal order onto the preset, and
+ *  the canonical mapper still round-trips decode -> compose. */
+TEST(AddressMapper, FieldOrderSpecCanonicalizesPresetOrder)
 {
     Organization org;
-    const std::array<Field, leaky::dram::kNumFields> order = {
-        Field::kBankGroup, Field::kBank, Field::kRank,
-        Field::kColumn,    Field::kRow,  Field::kChannel};
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    AddressMapper legacy(org, 2, order);
-#pragma GCC diagnostic pop
-    AddressMapper modern(org, 2,
-                         leaky::dram::MappingSpec::fieldOrder(order));
-    // fieldOrder canonicalizes preset-equal orders onto the preset.
-    EXPECT_EQ(legacy.spec(), modern.spec());
-    EXPECT_EQ(legacy.spec().str(), "bank-first");
-    for (std::uint64_t phys : {0ull, 64ull, 4096ull, 987654321ull}) {
-        EXPECT_EQ(legacy.compose(legacy.decode(phys)),
-                  modern.compose(modern.decode(phys)));
-    }
+    AddressMapper mapper(org, 2,
+                         leaky::dram::MappingSpec::fieldOrder(
+                             {Field::kBankGroup, Field::kBank, Field::kRank,
+                              Field::kColumn, Field::kRow,
+                              Field::kChannel}));
+    EXPECT_EQ(mapper.spec().str(), "bank-first");
+    for (std::uint64_t phys : {0ull, 64ull, 4096ull, 987654321ull})
+        EXPECT_EQ(mapper.compose(mapper.decode(phys)), phys & ~63ull);
 }
 
 } // namespace

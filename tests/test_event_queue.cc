@@ -45,6 +45,22 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
+// The nothrow forms must be replaced too: std::stable_sort's temporary
+// buffer allocates through them and frees through the sized delete
+// below, so the library's own nothrow new would pair with free().
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    leaky_test_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(n, tag);
+}
+
 void operator delete(void *p) noexcept { std::free(p); }
 void operator delete[](void *p) noexcept { std::free(p); }
 void operator delete(void *p, std::size_t) noexcept { std::free(p); }

@@ -5,7 +5,8 @@
  * serialize -> parse -> replay round trips, seeded stream determinism
  * (same FuzzParams seed => byte-identical serialized pattern stream),
  * campaign determinism, the discovered-beats-baseline acceptance pin,
- * and a zero-allocation steady state for the fuzz hot loop.
+ * the fuzz cell replaying the cross-defense figure's cell, and a
+ * zero-allocation steady state for the fuzz hot loop.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/experiments.hh"
 #include "fuzz/builder.hh"
 #include "fuzz/campaign.hh"
 #include "fuzz/pattern.hh"
@@ -317,6 +319,45 @@ TEST(Campaign, DiscoveredPatternBeatsEveryBaselineAgainstGraphene)
     }
     EXPECT_GT(best_baseline, 0.0);
     EXPECT_GT(discovered, best_baseline);
+}
+
+// ------------------------------- the fuzz cell is the figure's cell
+
+TEST(Fuzz, SingleRowPatternReplaysCrossDefenseCell)
+{
+    // The one-aggressor pattern is the stock sender, so the fuzzer's
+    // evaluation must reproduce the cross-defense cell exactly: any
+    // divergence means the fuzzer searches a different cell than the
+    // figure reports.
+    HammerPattern single;
+    for (const auto &entry : fuzz::replayCatalogue())
+        if (entry.name == "single")
+            single = HammerPattern::parse(entry.text);
+    ASSERT_EQ(single.str(), "hp1:period=1;gap=0;agg=0@1/0x1");
+
+    for (const defense::DefenseKind kind : fuzz::campaignDefenses()) {
+        fuzz::EvalSpec spec;
+        spec.defense = kind;
+        spec.message_bytes = 4;
+        spec.seed = 5;
+        const attack::ChannelResult fuzzed =
+            fuzz::evaluatePattern(single, spec).channel;
+
+        core::ChannelRunSpec run;
+        run.kind = core::channelKindFor(kind);
+        run.defense = core::crossDefenseSystemConfig(kind).defense;
+        run.message_bytes = 4;
+        run.seed = 5;
+        const attack::ChannelResult cell = core::runChannel(run);
+
+        const char *name = defense::defenseName(kind);
+        EXPECT_EQ(fuzzed.received, cell.received) << name;
+        EXPECT_EQ(fuzzed.backoffs, cell.backoffs) << name;
+        EXPECT_EQ(fuzzed.rfms, cell.rfms) << name;
+        EXPECT_EQ(fuzzed.targeted_refreshes, cell.targeted_refreshes)
+            << name;
+        EXPECT_EQ(fuzzed.capacity, cell.capacity) << name;
+    }
 }
 
 // ------------------------------------------ zero-allocation hot loop

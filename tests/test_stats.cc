@@ -1,8 +1,7 @@
-/** @file Channel metrics (Eq. 1/2) and sim statistics tests. */
+/** @file Channel metrics (Eq. 1/2) tests. */
 
 #include <gtest/gtest.h>
 
-#include "sim/stats.hh"
 #include "stats/channel_metrics.hh"
 
 namespace {
@@ -67,36 +66,6 @@ TEST(ChannelMetrics, WeightedSpeedup)
         st::weightedSpeedup({1.0, 2.0}, {1.0, 2.0}), 2.0);
     EXPECT_DOUBLE_EQ(
         st::weightedSpeedup({0.5, 1.0}, {1.0, 2.0}), 1.0);
-}
-
-TEST(SimStats, AccumulatorMoments)
-{
-    leaky::sim::Accumulator acc;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        acc.sample(v);
-    EXPECT_EQ(acc.count(), 8u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-    EXPECT_NEAR(acc.stddev(), 2.0, 1e-9);
-}
-
-TEST(SimStats, HistogramBucketsAndOverflow)
-{
-    leaky::sim::Histogram h(0.0, 100.0, 10);
-    h.sample(-1.0);
-    h.sample(5.0);
-    h.sample(15.0);
-    h.sample(15.5);
-    h.sample(99.9);
-    h.sample(100.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 2u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_FALSE(h.render().empty());
 }
 
 } // namespace
