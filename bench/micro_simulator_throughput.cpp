@@ -19,13 +19,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/leakyhammer.hh"
-#include "runner/pool.hh"
-#include "runner/runner.hh"
-#include "runner/sweep.hh"
 
 namespace {
 
@@ -186,41 +182,6 @@ BM_CovertWindow(benchmark::State &state)
     state.SetLabel("4 windows of 25 us each");
 }
 BENCHMARK(BM_CovertWindow)->Unit(benchmark::kMillisecond);
-
-/** Sweep-runner throughput: expand + pool-execute + merge a batch of
- *  synthetic jobs (a seeded RNG spin standing in for a short
- *  simulation). Arg = worker threads; jobs/s is the tracked number. */
-void
-BM_SweepRunner(benchmark::State &state)
-{
-    const auto threads = static_cast<unsigned>(state.range(0));
-    runner::SweepPool pool(threads);
-    const runner::SweepSpec spec = runner::syntheticBenchSpec(256,
-                                                             20'000);
-
-    std::uint64_t jobs = 0;
-    for (auto _ : state) {
-        const auto result = runner::runSweep(spec, pool);
-        jobs += result.jobs;
-        benchmark::DoNotOptimize(result.rows.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(jobs));
-}
-
-/** 1, 4, and one-per-hardware-thread workers (deduplicated). */
-void
-sweepRunnerThreadCounts(benchmark::internal::Benchmark *bench)
-{
-    std::vector<int> counts = {
-        1, 4,
-        static_cast<int>(runner::SweepPool::resolveThreads(0))};
-    std::sort(counts.begin(), counts.end());
-    counts.erase(std::unique(counts.begin(), counts.end()),
-                 counts.end());
-    for (int threads : counts)
-        bench->Arg(threads);
-}
-BENCHMARK(BM_SweepRunner)->Apply(sweepRunnerThreadCounts);
 
 } // namespace
 

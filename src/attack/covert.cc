@@ -306,9 +306,11 @@ runCovertChannel(sys::System &system, const CovertConfig &cfg,
     // Ground truth from the channel the receiver listens on — under
     // channels > 1 an implicit channel-0 read would silently drop
     // every preventive action on the other channels.
-    return collectChannelResult(cfg.window, cfg.levels, symbols,
-                                receiver.decoded(),
-                                system.stats(cfg.receiver_channel));
+    ChannelResult result = collectChannelResult(
+        cfg.window, cfg.levels, symbols, receiver.decoded(),
+        system.stats(cfg.receiver_channel));
+    result.detections = receiver.detections();
+    return result;
 }
 
 ChannelResult

@@ -186,6 +186,9 @@ struct ChannelResult {
     double symbol_error = 0.0;
     double raw_bit_rate = 0.0; ///< bits/s.
     double capacity = 0.0;     ///< bits/s (Eq. 1).
+    /** The receiver's per-window detections (CovertReceiver::
+     *  detections); filled by runCovertChannel only. */
+    std::vector<std::uint32_t> detections;
     /** Ground truth below is the RECEIVER channel's stats view —
      *  explicit per-channel counters, not an implicit channel 0. */
     std::uint64_t backoffs = 0; ///< Ground truth preventive actions.

@@ -86,6 +86,7 @@ runLatencyTrace(std::uint32_t iterations, std::uint32_t rfms_per_backoff)
         cfg.ctrl.dram.timing, 90'000, rfms_per_backoff);
     result.backoffs = system.stats(probe_cfg.channel).backoffs;
     result.refreshes = system.stats(probe_cfg.channel).refreshes;
+    result.reads_served = system.stats(probe_cfg.channel).reads_served;
 
     double sums[3] = {0, 0, 0};
     std::uint64_t counts[3] = {0, 0, 0};
@@ -302,29 +303,17 @@ runMessageDemo(attack::ChannelKind kind, const std::string &message,
     ChannelRunSpec spec;
     spec.kind = kind;
     spec.mapping = mapping;
-    const sys::SystemConfig sys_cfg = channelSystemConfig(spec);
-    sys::System system(sys_cfg);
-    attack::CovertConfig cfg = channelConfig(system, spec);
-
+    sys::System system(channelSystemConfig(spec));
     const auto bits = attack::bitsFromString(message);
-    std::vector<std::uint8_t> symbols;
-    for (bool b : bits)
-        symbols.push_back(b ? 1 : 0);
-
-    attack::CovertSender sender(system, cfg);
-    attack::CovertReceiver receiver(system, cfg);
-    const Tick epoch = system.now() + 2 * sim::kUs;
-    sender.transmit(symbols, epoch);
-    bool done = false;
-    receiver.listen(symbols.size(), epoch, [&done] { done = true; });
-    while (!done)
-        system.run(cfg.window);
+    const auto run = attack::runCovertChannel(
+        system, channelConfig(system, spec),
+        attack::symbolsFromBits(bits, 2));
 
     MessageDemoResult result;
     result.sent_bits = bits;
-    for (auto s : receiver.decoded())
+    for (auto s : run.received)
         result.received_bits.push_back(s != 0);
-    result.detections = receiver.detections();
+    result.detections = run.detections;
     result.decoded_text = attack::stringFromBits(result.received_bits);
     return result;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * High-level experiment runners shared by the figure registry and the
- * examples. Every covert-channel cell -- the headline channels, the
+ * demos. Every covert-channel cell -- the headline channels, the
  * countermeasures, the trigger classes, the colocation and topology
  * variants -- is one ChannelRunSpec run through runChannel; the other
  * runners (latency trace, fingerprinting, counter leak, mapping
@@ -62,6 +62,7 @@ struct LatencyTraceResult {
     attack::LatencyClassifier classifier;
     std::uint64_t backoffs = 0; ///< Ground truth.
     std::uint64_t refreshes = 0;
+    std::uint64_t reads_served = 0;
     double mean_backoff_latency_ns = 0.0;
     double mean_conflict_latency_ns = 0.0;
     double mean_refresh_latency_ns = 0.0;

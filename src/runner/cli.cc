@@ -38,7 +38,6 @@ printTopUsage()
         "  campaign [flags]    sharded, resumable, kill-safe sweeps\n"
         "  run <demo> [flags]  run one narrated scenario demo\n"
         "  fuzz [flags]        search the aggressor-pattern space\n"
-        "  bench [flags]       measure sweep-runner throughput\n"
         "  help                this text\n"
         "\n"
         "run `leakyhammer help <command>` for per-command flags.\n");
@@ -103,17 +102,11 @@ cmdList(int argc, char **argv)
     std::printf("figures (leakyhammer repro --fig <name>):\n%s\n",
                 figs.str().c_str());
 
-    core::Table demos({"demo", "flags", "scenario"});
-    demos.addRow({"quickstart", "-",
-                  "Listing-1 latency probe, Fig. 2 bands"});
-    demos.addRow({"covert", "--message <s>",
-                  "transmit text over both covert channels"});
-    demos.addRow({"fingerprint", "--sites <n> --loads <n>",
-                  "website fingerprinting + classifier"});
-    demos.addRow({"mitigation", "--nrh <n>",
-                  "security/performance trade-off per defense"});
+    core::Table table({"demo", "flags", "scenario"});
+    for (const Demo &demo : demos())
+        table.addRow({demo.name, demo.flags, demo.scenario});
     std::printf("demos (leakyhammer run <demo>):\n%s",
-                demos.str().c_str());
+                table.str().c_str());
     return kOk;
 }
 
@@ -433,23 +426,17 @@ int
 cmdRun(int argc, char **argv)
 {
     if (argc < 1 || std::string(argv[0]).rfind("--", 0) == 0)
-        return usageError(
-            "run needs a demo name (quickstart, covert, fingerprint, "
-            "mitigation)",
-            "run");
-    // Flag parsing and validation are shared with the example
-    // binaries (runner/demos.cc), so defaults and bounds live once.
-    const std::string demo = argv[0];
-    const std::string prog = "leakyhammer run " + demo;
-    if (demo == "quickstart")
-        return quickstartMain(argc - 1, argv + 1, prog.c_str());
-    if (demo == "covert")
-        return covertMain(argc - 1, argv + 1, prog.c_str());
-    if (demo == "fingerprint")
-        return fingerprintMain(argc - 1, argv + 1, prog.c_str());
-    if (demo == "mitigation")
-        return mitigationMain(argc - 1, argv + 1, prog.c_str());
-    return usageError("unknown demo '" + demo + "'", "run");
+        return usageError("run needs a demo name (see `list`)", "run");
+    const std::string name = argv[0];
+    for (const Demo &demo : demos()) {
+        if (name != demo.name)
+            continue;
+        std::string error;
+        if (!demo.run(argc - 1, argv + 1, &error))
+            return usageError("run " + name + ": " + error, "run");
+        return kOk;
+    }
+    return usageError("unknown demo '" + name + "'", "run");
 }
 
 // --------------------------------------------------------------- fuzz
@@ -527,48 +514,6 @@ cmdFuzz(int argc, char **argv)
     return kOk;
 }
 
-// -------------------------------------------------------------- bench
-
-int
-cmdBench(int argc, char **argv)
-{
-    std::uint32_t jobs = 512;
-    std::uint32_t spin = 20'000;
-    FlagParser parser;
-    parser.addUint("jobs", &jobs, "synthetic jobs per batch");
-    parser.addUint("spin", &spin, "RNG draws of work per job");
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(error, "bench");
-    if (jobs == 0)
-        return usageError("--jobs must be positive", "bench");
-
-    const SweepSpec spec = syntheticBenchSpec(jobs, spin);
-
-    const unsigned hw = SweepPool::resolveThreads(0);
-    std::vector<unsigned> counts = {1};
-    if (hw >= 4)
-        counts.push_back(4);
-    if (hw != 1 && hw != 4)
-        counts.push_back(hw);
-
-    core::Table table({"threads", "jobs", "wall (s)", "jobs/s"});
-    for (unsigned threads : counts) {
-        const auto result = runSweep(spec, threads);
-        const double rate =
-            result.wall_seconds > 0.0
-                ? static_cast<double>(result.jobs) / result.wall_seconds
-                : 0.0;
-        table.addRow({std::to_string(threads), std::to_string(jobs),
-                      core::fmt(result.wall_seconds, 3),
-                      core::fmt(rate, 0)});
-    }
-    std::printf("%s", table.str().c_str());
-    std::printf("\n(BM_SweepRunner in bench/micro_simulator_throughput "
-                "tracks this number in BENCH_kernel.json.)\n");
-    return kOk;
-}
-
 // --------------------------------------------------------------- help
 
 int
@@ -616,12 +561,10 @@ cmdHelp(int argc, char **argv)
         return kOk;
     }
     if (topic == "run") {
-        std::printf(
-            "usage: leakyhammer run <demo> [flags]\n"
-            "  quickstart                 no flags\n"
-            "  covert [--message <s>]     default MICRO\n"
-            "  fingerprint [--sites <n>] [--loads <n>]\n"
-            "  mitigation [--nrh <n>]     default 256\n");
+        std::printf("usage: leakyhammer run <demo> [flags]\n");
+        for (const Demo &demo : demos())
+            std::printf("  %s%s%s\n", demo.name, *demo.flags ? " " : "",
+                        demo.flags);
         return kOk;
     }
     if (topic == "fuzz") {
@@ -639,11 +582,6 @@ cmdHelp(int argc, char **argv)
             "catalogue or parse it in code). Identical --seed gives\n"
             "byte-identical artifacts for any --threads.\n",
             parser.helpText().c_str());
-        return kOk;
-    }
-    if (topic == "bench") {
-        std::printf("usage: leakyhammer bench [--jobs <n>] "
-                    "[--spin <n>]\n");
         return kOk;
     }
     if (topic == "list") {
@@ -676,8 +614,6 @@ cliMain(int argc, char **argv)
             return cmdRun(argc - 2, argv + 2);
         if (command == "fuzz")
             return cmdFuzz(argc - 2, argv + 2);
-        if (command == "bench")
-            return cmdBench(argc - 2, argv + 2);
         if (command == "help" || command == "--help" || command == "-h")
             return cmdHelp(argc - 2, argv + 2);
     } catch (const std::exception &e) {

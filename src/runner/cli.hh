@@ -5,9 +5,9 @@
  *
  *   leakyhammer list                 figures + demos catalogue
  *   leakyhammer repro --fig <name>   parallel figure reproduction
+ *   leakyhammer campaign [flags]     sharded, resumable figure sweeps
  *   leakyhammer run <demo> [flags]   narrated single-scenario demos
  *   leakyhammer fuzz [flags]         aggressor-pattern space search
- *   leakyhammer bench [flags]        sweep-runner throughput (jobs/s)
  *   leakyhammer help [command]
  *
  * Exit codes: 0 success, 1 runtime failure, 2 usage error (unknown

@@ -38,40 +38,25 @@ covertOneChannel(attack::ChannelKind kind, const std::string &message,
                 result.sent_bits.size());
 }
 
-} // namespace
-
-int
-runQuickstartDemo()
+bool
+runQuickstart(int argc, char **argv, std::string *error)
 {
-    // 1. A DDR5 system (paper Table 1) protected by PRAC with the
-    //    attack-study operating point NBO = 128.
-    sys::SystemConfig cfg = core::pracAttackSystem();
-    sys::System system(cfg);
+    FlagParser parser;
+    if (!parser.parse(argc, argv, error))
+        return false;
 
-    // 2. Two attacker-controlled rows in the same bank. Alternating
-    //    loads force a row-buffer conflict -- and thus an activation --
-    //    on every access, charging the PRAC counters.
-    attack::ProbeConfig probe_cfg;
-    probe_cfg.addrs = {
-        attack::rowAddress(system.mapper(), 0, 0, 0, 0, 1000),
-        attack::rowAddress(system.mapper(), 0, 0, 0, 0, 2000)};
-    probe_cfg.iterations = 512;
+    // Listing 1 against PRAC at the attack-study operating point
+    // (NBO = 128): two rows in one bank, alternating loads, so every
+    // access is a row-buffer conflict that charges the PRAC counters.
+    const auto trace = core::runLatencyTrace(512);
 
-    attack::LatencyProbe probe(system, probe_cfg);
-    bool done = false;
-    probe.start([&done] { done = true; });
-    while (!done)
-        system.run(sim::kMs);
-
-    // 3. Classify what the user-space loop observed.
-    const auto classifier =
-        attack::LatencyClassifier::forTiming(cfg.ctrl.dram.timing);
+    // Classify what the user-space loop observed.
     std::uint64_t by_class[5] = {0, 0, 0, 0, 0};
-    for (const auto &sample : probe.samples())
-        by_class[static_cast<int>(classifier.classify(sample.latency))]++;
+    for (const auto &sample : trace.samples)
+        by_class[static_cast<int>(
+            trace.classifier.classify(sample.latency))]++;
 
-    std::printf("Observed %zu request latencies:\n",
-                probe.samples().size());
+    std::printf("Observed %zu request latencies:\n", trace.samples.size());
     const char *names[5] = {"fast (row hit)", "row conflict",
                             "RFM window", "periodic refresh",
                             "PRAC back-off"};
@@ -79,33 +64,69 @@ runQuickstartDemo()
         std::printf("  %-18s %5llu\n", names[c],
                     static_cast<unsigned long long>(by_class[c]));
 
-    const auto &stats = system.stats(0);
     std::printf("\nGround truth from the controller:\n");
     std::printf("  back-offs: %llu, refreshes: %llu, reads: %llu\n",
-                static_cast<unsigned long long>(stats.backoffs),
-                static_cast<unsigned long long>(stats.refreshes),
-                static_cast<unsigned long long>(stats.reads_served));
+                static_cast<unsigned long long>(trace.backoffs),
+                static_cast<unsigned long long>(trace.refreshes),
+                static_cast<unsigned long long>(trace.reads_served));
     std::printf("\nFirst samples (ns): ");
-    for (std::size_t i = 0; i < 12 && i < probe.samples().size(); ++i)
+    for (std::size_t i = 0; i < 12 && i < trace.samples.size(); ++i)
         std::printf("%llu ", static_cast<unsigned long long>(
-                                 probe.samples()[i].latency / 1000));
+                                 trace.samples[i].latency / 1000));
     std::printf("\n");
-    return 0;
+    return true;
 }
 
-int
-runCovertDemo(const std::string &message, const std::string &mapping)
+bool
+runCovert(int argc, char **argv, std::string *error)
 {
-    const dram::MappingSpec spec = dram::MappingSpec::parse(mapping);
+    std::string message = "MICRO";
+    std::string mapping = "row-interleaved";
+    FlagParser parser;
+    parser.addString("message", &message, "text to transmit");
+    parser.addString("mapping", &mapping,
+                     "address mapping (preset|order:...|xor:...)");
+    if (!parser.parse(argc, argv, error))
+        return false;
+    if (message.empty()) {
+        *error = "--message must be non-empty";
+        return false;
+    }
+    // The system decodes through a validated MappingSpec: preset,
+    // order: or xor: form (see docs/EXPERIMENTS.md).
+    dram::MappingSpec spec;
+    if (!dram::MappingSpec::tryParse(mapping, &spec, error)) {
+        *error = "bad --mapping: " + *error;
+        return false;
+    }
+
     std::printf("address mapping: %s\n", spec.str().c_str());
     covertOneChannel(attack::ChannelKind::kPrac, message, spec);
     covertOneChannel(attack::ChannelKind::kRfm, message, spec);
-    return 0;
+    return true;
 }
 
-int
-runFingerprintDemo(std::uint32_t sites, std::uint32_t loads)
+bool
+runFingerprint(int argc, char **argv, std::string *error)
 {
+    std::uint32_t sites = 6, loads = 8;
+    FlagParser parser;
+    parser.addUint("sites", &sites, "number of websites");
+    parser.addUint("loads", &loads, "loads per site");
+    if (!parser.parse(argc, argv, error))
+        return false;
+    const auto max_sites =
+        static_cast<std::uint32_t>(workload::websiteNames().size());
+    if (sites < 2 || sites > max_sites) {
+        *error = "--sites must be in [2, " + std::to_string(max_sites) +
+                 "]";
+        return false;
+    }
+    if (loads < 2) {
+        *error = "--loads must be >= 2";
+        return false;
+    }
+
     core::banner("Website fingerprinting via PRAC back-offs");
 
     core::FingerprintSpec spec;
@@ -145,10 +166,8 @@ runFingerprintDemo(std::uint32_t sites, std::uint32_t loads)
                 cm.accuracy(), 1.0 / data.n_classes);
     std::printf("macro F1 %.2f, precision %.2f, recall %.2f\n",
                 cm.macroF1(), cm.macroPrecision(), cm.macroRecall());
-    return 0;
+    return true;
 }
-
-namespace {
 
 double
 channelCapacityAgainst(defense::DefenseKind kind, std::uint32_t nrh)
@@ -165,11 +184,19 @@ channelCapacityAgainst(defense::DefenseKind kind, std::uint32_t nrh)
     return core::runChannel(run).capacity;
 }
 
-} // namespace
-
-int
-runMitigationDemo(std::uint32_t nrh)
+bool
+runMitigation(int argc, char **argv, std::string *error)
 {
+    std::uint32_t nrh = 256;
+    FlagParser parser;
+    parser.addUint("nrh", &nrh, "RowHammer threshold");
+    if (!parser.parse(argc, argv, error))
+        return false;
+    if (nrh < 16 || nrh > 65536) {
+        *error = "--nrh must be in [16, 65536]";
+        return false;
+    }
+
     core::banner("Defense comparison at NRH = " + std::to_string(nrh));
 
     const auto mixes = workload::makeMixes(3, 4, 7);
@@ -198,91 +225,25 @@ runMitigationDemo(std::uint32_t nrh)
     std::printf("\nFR-RFM closes the channel completely; at low NRH its "
                 "performance cost explodes, which is the paper's central "
                 "trade-off (§11, Fig. 13).\n");
-    return 0;
-}
-
-// ------------------------------------------------- argv entry points
-
-namespace {
-
-int
-usageError(const char *prog, const std::string &error,
-           const char *flag_usage)
-{
-    std::fprintf(stderr, "%s: %s\nusage: %s %s\n", prog, error.c_str(),
-                 prog, flag_usage);
-    return 2;
+    return true;
 }
 
 } // namespace
 
-int
-quickstartMain(int argc, char **argv, const char *prog)
+const std::vector<Demo> &
+demos()
 {
-    FlagParser parser;
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(prog, error, "");
-    return runQuickstartDemo();
-}
-
-int
-covertMain(int argc, char **argv, const char *prog)
-{
-    const char *usage = "[--message <text>] [--mapping <spec>]";
-    std::string message = "MICRO";
-    std::string mapping = "row-interleaved";
-    FlagParser parser;
-    parser.addString("message", &message, "text to transmit");
-    parser.addString("mapping", &mapping,
-                     "address mapping (preset|order:...|xor:...)");
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(prog, error, usage);
-    if (message.empty())
-        return usageError(prog, "--message must be non-empty", usage);
-    dram::MappingSpec spec;
-    if (!dram::MappingSpec::tryParse(mapping, &spec, &error))
-        return usageError(prog, "bad --mapping: " + error, usage);
-    return runCovertDemo(message, mapping);
-}
-
-int
-fingerprintMain(int argc, char **argv, const char *prog)
-{
-    const char *usage = "[--sites <n>] [--loads <n>]";
-    std::uint32_t sites = 6, loads = 8;
-    FlagParser parser;
-    parser.addUint("sites", &sites, "number of websites");
-    parser.addUint("loads", &loads, "loads per site");
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(prog, error, usage);
-    const auto max_sites =
-        static_cast<std::uint32_t>(workload::websiteNames().size());
-    if (sites < 2 || sites > max_sites)
-        return usageError(prog,
-                          "--sites must be in [2, " +
-                              std::to_string(max_sites) + "]",
-                          usage);
-    if (loads < 2)
-        return usageError(prog, "--loads must be >= 2", usage);
-    return runFingerprintDemo(sites, loads);
-}
-
-int
-mitigationMain(int argc, char **argv, const char *prog)
-{
-    std::uint32_t nrh = 256;
-    FlagParser parser;
-    parser.addUint("nrh", &nrh, "RowHammer threshold");
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(prog, error, "[--nrh <n>]");
-    if (nrh < 16 || nrh > 65536)
-        return usageError(prog, "--nrh must be in [16, 65536]",
-                          "[--nrh <n>]");
-    return runMitigationDemo(nrh);
+    static const std::vector<Demo> table = {
+        {"quickstart", "", "Listing-1 latency probe, Fig. 2 bands",
+         runQuickstart},
+        {"covert", "[--message <text>] [--mapping <spec>]",
+         "transmit text over both covert channels", runCovert},
+        {"fingerprint", "[--sites <n>] [--loads <n>]",
+         "website fingerprinting + classifier", runFingerprint},
+        {"mitigation", "[--nrh <n>]",
+         "security/performance trade-off per defense", runMitigation},
+    };
+    return table;
 }
 
 } // namespace leaky::runner

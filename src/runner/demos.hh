@@ -1,44 +1,35 @@
 /**
  * @file
- * Interactive scenario demos, shared between `leakyhammer run <demo>`
- * and the thin example binaries in examples/. Each demo prints a
- * narrated walk-through of one paper scenario and returns a process
- * exit code (0 on success), so wrappers can forward it from main().
+ * The narrated scenario demos of `leakyhammer run <demo>`. Each demo
+ * walks through one paper result and is one row of demos(): the CLI
+ * dispatches through the table, and `list` / `help run` render their
+ * demo text from it, so a demo's name and flags are written once.
  */
 
 #ifndef LEAKY_RUNNER_DEMOS_HH
 #define LEAKY_RUNNER_DEMOS_HH
 
-#include <cstdint>
 #include <string>
+#include <vector>
 
 namespace leaky::runner {
 
-/** Listing-1 latency probe against PRAC; the Fig. 2 bands. */
-int runQuickstartDemo();
+/** One demo: how to call it and what it shows. */
+struct Demo {
+    const char *name;
+    const char *flags;    ///< Flag usage, e.g. "[--nrh <n>]".
+    const char *scenario; ///< One line for `list`.
+    /**
+     * Parse @p argv (the flags after the demo name) and run the demo.
+     * Parsing is strict: an unknown flag, malformed value or
+     * out-of-range setting returns false with @p error set, before
+     * anything runs.
+     */
+    bool (*run)(int argc, char **argv, std::string *error);
+};
 
-/** Transmit @p message over the PRAC and RFM covert channels, with
- *  the system decoding through @p mapping (a validated MappingSpec —
- *  preset, order:, or xor: form; see docs/EXPERIMENTS.md). */
-int runCovertDemo(const std::string &message,
-                  const std::string &mapping = "row-interleaved");
-
-/** Collect fingerprints, train the classifier, report accuracy. */
-int runFingerprintDemo(std::uint32_t sites, std::uint32_t loads);
-
-/** Security/performance trade-off of every defense at one NRH. */
-int runMitigationDemo(std::uint32_t nrh);
-
-/**
- * argv-style entry points shared by `leakyhammer run <demo>` and the
- * example binaries: strict flag parsing (exit code 2 on any unknown
- * flag, malformed value, or out-of-range setting), then the demo.
- * @p argv excludes the program/demo name; @p prog labels errors.
- */
-int quickstartMain(int argc, char **argv, const char *prog);
-int covertMain(int argc, char **argv, const char *prog);
-int fingerprintMain(int argc, char **argv, const char *prog);
-int mitigationMain(int argc, char **argv, const char *prog);
+/** Every demo, in `list` order. */
+const std::vector<Demo> &demos();
 
 } // namespace leaky::runner
 

@@ -42,8 +42,6 @@ thresholdFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "threshold";
-        spec.description = "Channel capacity against each defense as "
-                           "NRH (and the derived NBO/TRFM) scales";
         spec.base_seed = seedOr(opts, 1);
         std::vector<double> defenses;
         if (scale == Scale::kSmoke) {
@@ -128,8 +126,6 @@ mitigationFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "mitigation";
-        spec.description = "Normalized weighted speedup of each "
-                           "defense per NRH and workload mix";
         spec.base_seed = seedOr(opts, 42);
         std::vector<double> defenses;
         std::vector<double> nrhs;
@@ -226,9 +222,6 @@ countermeasuresFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "countermeasures";
-        spec.description = "The PRAC channel against FR-RFM, "
-                           "PRAC-RIAC, and Bank-Level PRAC under "
-                           "ambient noise";
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"scenario", {0, 1, 2, 3, 4}}};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 25, 100);
@@ -302,8 +295,6 @@ counterLeakFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "counter-leak";
-        spec.description = "Per-trial secret vs leaked count and "
-                           "leak time (NBO = 128, 7 bits/shot)";
         spec.base_seed = seedOr(opts, 1234);
         spec.axes = {{"trial",
                       iota(byScale<std::uint32_t>(scale, 6, 24, 64))}};
@@ -386,8 +377,6 @@ granularityFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "granularity";
-        spec.description = "Channel error with the receiver moved "
-                           "across bank groups and banks";
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"scenario", {0, 1, 2, 3}}};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 20, 50);
@@ -447,8 +436,6 @@ triggerFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "trigger";
-        spec.description = "PRAC/PRFM exact triggers vs the PARA "
-                           "stateless random trigger";
         spec.base_seed = seedOr(opts, 1);
         // Scenario axis: 0 = PRAC, 1 = PRFM, 2.. = PARA at rising p.
         spec.axes = {{"scenario", scale == Scale::kSmoke

@@ -38,8 +38,6 @@ latencyFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "latency";
-        spec.description = "Listing-1 probe latency classes per "
-                           "rfms-per-backoff setting";
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"rfms_per_backoff",
                       scale == Scale::kSmoke
@@ -95,8 +93,6 @@ backoffPeriodFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "backoff-period";
-        spec.description = "Request indices of consecutive back-offs "
-                           "seen by the Listing-1 probe";
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"iterations",
                       byScale(scale, std::vector<double>{560},
@@ -161,15 +157,13 @@ messageFigure(ChannelKind kind)
                 (prac ? "PRAC" : "RFM") + " covert channel";
     fig.paper_ref = prac ? "Fig. 3" : "Fig. 6";
     fig.csv_name = prac ? "fig_message_prac.csv" : "fig_message_rfm.csv";
-    fig.make = [kind](const RunOptions &opts) {
+    fig.make = [kind, name = fig.name](const RunOptions &opts) {
         const Scale scale = scaleOf(opts);
         // Smoke transmits one character; the paper message is "MICRO".
         const std::string message =
             scale == Scale::kSmoke ? "M" : "MICRO";
         SweepSpec spec;
-        spec.name = "message";
-        spec.description = "Per-window sent bit, receiver detections, "
-                           "and decoded bit";
+        spec.name = name;
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"message_bits",
                       {static_cast<double>(message.size() * 8)}}};
@@ -226,8 +220,6 @@ bitrateFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "bitrate";
-        spec.description = "Per-pattern channel metrics without noise "
-                           "or background load";
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"channel", {0, 1}}, {"pattern", {0, 1, 2, 3}}};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 25, 100);
@@ -285,8 +277,6 @@ capacityFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "capacity";
-        spec.description = "Eq.-2 noise sweep of both channels over "
-                           "the four message patterns";
         spec.base_seed = seedOr(opts, 1);
         std::vector<double> intensities;
         switch (scale) {
@@ -364,8 +354,6 @@ appNoiseFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "appnoise";
-        spec.description = "Channel metrics with one concurrent "
-                           "low/medium/high-RBMPKI application";
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"channel", {0, 1}}, {"app_intensity", {0, 1, 2}}};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 20, 100);
@@ -421,8 +409,6 @@ multibitFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "multibit";
-        spec.description = "Symbol-level encodings: the sender's pace "
-                           "encodes log2(levels) bits per back-off";
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"levels", {2, 3, 4}}};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 16, 32);
@@ -477,8 +463,6 @@ rfmCountFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "rfm-count";
-        spec.description = "Fewer recovery RFMs shrink the back-off "
-                           "latency toward the refresh band";
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"rfms_per_backoff", {4, 2, 1}},
                      {"intensity",
@@ -536,8 +520,6 @@ actionLatencyFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "action-latency";
-        spec.description = "Single-RFM back-off with its latency "
-                           "swept from 0 to 250 ns";
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"latency_ns",
                       byScale(scale, std::vector<double>{0, 96, 250},

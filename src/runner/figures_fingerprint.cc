@@ -39,8 +39,6 @@ collectionSpec(const char *name, std::uint32_t sites,
 {
     SweepSpec spec;
     spec.name = name;
-    spec.description = "Per-(site, load) back-off traces reduced to "
-                       "the 39-feature fingerprint vector";
     spec.base_seed = base_seed;
     spec.axes = {{"site", iota(sites)}, {"load", iota(loads)}};
     spec.columns = {"site", "load", "backoffs"};
@@ -171,8 +169,6 @@ stripsFigure()
         spec.axes[0].values = scale == Scale::kSmoke
                                   ? std::vector<double>{34, 24}
                                   : std::vector<double>{34, 24, 38};
-        spec.description = "Two loads each of selected sites, as "
-                           "per-window back-off strips";
         return spec;
     };
     fig.summarize = [](const SweepResult &result) {
@@ -288,8 +284,6 @@ cachePrefetchFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "cache-prefetch";
-        spec.description = "Channel capacity and fingerprint accuracy "
-                           "with the 256 kB L2 + 6 MB LLC hierarchy";
         spec.base_seed = seedOr(opts, 1);
         // Scenarios: 0 = PRAC channel, 1 = RFM channel,
         // 2 = fingerprint accuracy (default/full only — the whole

@@ -11,13 +11,6 @@
 
 namespace leaky::runner {
 
-SweepResult
-runSweep(const SweepSpec &spec, unsigned threads)
-{
-    SweepPool pool(threads);
-    return runSweep(spec, pool);
-}
-
 std::string
 describeJobParams(const Job &job)
 {
@@ -31,8 +24,9 @@ describeJobParams(const Job &job)
 }
 
 SweepResult
-runSweep(const SweepSpec &spec, SweepPool &pool)
+runSweep(const SweepSpec &spec, unsigned threads)
 {
+    SweepPool pool(threads);
     const auto jobs = expandJobs(spec);
     // lint:allow(no-wallclock): wall_seconds is operator telemetry (how long the sweep took), never a result row
     const auto start = std::chrono::steady_clock::now();

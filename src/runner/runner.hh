@@ -18,8 +18,6 @@
 
 namespace leaky::runner {
 
-class SweepPool;
-
 /** Merged outcome of one sweep. */
 struct SweepResult {
     std::vector<std::string> columns;
@@ -68,9 +66,6 @@ std::string describeJobParams(const Job &job);
  *  (0 = hardware concurrency). Throws SweepError (carrying the
  *  completed jobs' rows) if any job throws. */
 SweepResult runSweep(const SweepSpec &spec, unsigned threads = 0);
-
-/** Same, on an existing pool (benchmarks reuse one across batches). */
-SweepResult runSweep(const SweepSpec &spec, SweepPool &pool);
 
 /** Render columns + rows as CSV. Numeric formatting is locale-free and
  *  round-trip exact, so equal results give byte-equal files. */

@@ -62,25 +62,4 @@ jobSeed(std::uint64_t base, std::size_t index)
     return sim::seedFanout(base, index);
 }
 
-SweepSpec
-syntheticBenchSpec(std::uint32_t jobs, std::uint32_t spin)
-{
-    SweepSpec spec;
-    spec.name = "bench";
-    spec.description = "synthetic RNG-spin jobs (runner overhead probe)";
-    spec.base_seed = 11;
-    spec.axes = {{"job", {}}};
-    for (std::uint32_t i = 0; i < jobs; ++i)
-        spec.axes[0].values.push_back(i);
-    spec.columns = {"job", "value"};
-    spec.job = [spin](const Job &job) -> JobRows {
-        sim::Rng rng(job.seed);
-        double acc = 0;
-        for (std::uint32_t i = 0; i < spin; ++i)
-            acc += rng.uniform();
-        return {{job.param("job"), acc}};
-    };
-    return spec;
-}
-
 } // namespace leaky::runner

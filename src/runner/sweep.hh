@@ -49,8 +49,9 @@ using JobFn = std::function<JobRows(const Job &)>;
 
 /** A declarative sweep: axes x repetitions -> independent jobs. */
 struct SweepSpec {
+    /** The figure's registry name; campaign manifests record it and
+     *  SweepError quotes it. */
     std::string name;
-    std::string description;
     /** Expansion is row-major: the FIRST axis varies slowest, the last
      *  fastest, and repetitions fan out innermost. */
     std::vector<Axis> axes;
@@ -72,14 +73,6 @@ std::vector<Job> expandJobs(const SweepSpec &spec);
  * pair, stable across runs and thread counts (splitmix64 of the pair).
  */
 std::uint64_t jobSeed(std::uint64_t base, std::size_t index);
-
-/**
- * The synthetic runner-overhead probe: @p jobs jobs of @p spin seeded
- * RNG draws each. Shared by `leakyhammer bench` and BM_SweepRunner so
- * the CLI's jobs/s and the tracked BENCH_kernel.json number measure
- * the same workload.
- */
-SweepSpec syntheticBenchSpec(std::uint32_t jobs, std::uint32_t spin);
 
 } // namespace leaky::runner
 

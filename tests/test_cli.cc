@@ -2,8 +2,9 @@
  * @file
  * CLI error-path contract: every subcommand exits 2 (usage error) on
  * unknown flags, malformed values, and missing required arguments —
- * never 0, never a crash. Drives runner::cliMain in-process; the happy
- * paths are covered by ci/smoke_figures.sh and the figure tests.
+ * never 0, never a crash — and `help run` documents every demo flag.
+ * Drives runner::cliMain in-process; the happy paths are covered by
+ * ci/smoke_figures.sh and the figure tests.
  */
 
 #include <gtest/gtest.h>
@@ -38,7 +39,7 @@ TEST(CliErrors, NoCommandOrUnknownCommandIsUsageError)
 TEST(CliErrors, EverySubcommandRejectsUnknownFlags)
 {
     for (const char *command :
-         {"list", "repro", "campaign", "run", "fuzz", "bench"}) {
+         {"list", "repro", "campaign", "run", "fuzz"}) {
         if (std::string(command) == "run") {
             // `run` resolves the demo first; flags parse inside it.
             EXPECT_EQ(runCli({"run", "quickstart", "--nope"}), 2);
@@ -56,9 +57,12 @@ TEST(CliErrors, MalformedValuesAreUsageErrors)
     EXPECT_EQ(runCli({"repro", "--fig", "latency", "--seed", "-1"}), 2);
     EXPECT_EQ(runCli({"fuzz", "--seed", "abc"}), 2);
     EXPECT_EQ(runCli({"fuzz", "--threads", "1.5"}), 2);
-    EXPECT_EQ(runCli({"bench", "--jobs", "abc"}), 2);
-    EXPECT_EQ(runCli({"bench", "--jobs", "0"}), 2);
     EXPECT_EQ(runCli({"campaign", "--shards", "zero"}), 2);
+    EXPECT_EQ(runCli({"run", "covert", "--message", ""}), 2);
+    EXPECT_EQ(runCli({"run", "covert", "--mapping", "nonsense"}), 2);
+    EXPECT_EQ(runCli({"run", "fingerprint", "--sites", "1"}), 2);
+    EXPECT_EQ(runCli({"run", "fingerprint", "--loads", "1"}), 2);
+    EXPECT_EQ(runCli({"run", "mitigation", "--nrh", "8"}), 2);
 }
 
 TEST(CliErrors, MissingRequiredArgumentsAreUsageErrors)
@@ -73,6 +77,16 @@ TEST(CliErrors, MissingRequiredArgumentsAreUsageErrors)
     EXPECT_EQ(runCli({"run"}), 2);
     EXPECT_EQ(runCli({"run", "no-such-demo"}), 2);
     EXPECT_EQ(runCli({"help", "no-such-topic"}), 2);
+}
+
+TEST(CliHelp, HelpRunNamesEveryDemoFlag)
+{
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(runCli({"help", "run"}), 0);
+    const std::string help = testing::internal::GetCapturedStdout();
+    for (const char *flag :
+         {"--message", "--mapping", "--sites", "--loads", "--nrh"})
+        EXPECT_NE(help.find(flag), std::string::npos) << flag;
 }
 
 } // namespace

@@ -91,6 +91,7 @@ TEST(FigureRegistry, SmokeSpecsExpandSmallAndWellFormed)
         EXPECT_LE(jobs, 64u) << figure.name;
         EXPECT_EQ(runner::expandJobs(spec).size(), jobs) << figure.name;
         EXPECT_TRUE(spec.job != nullptr) << figure.name;
+        EXPECT_EQ(spec.name, figure.name);
     }
 }
 
