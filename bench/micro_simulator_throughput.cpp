@@ -177,7 +177,7 @@ BM_CovertWindow(benchmark::State &state)
         state.ResumeTiming();
 
         std::vector<std::uint8_t> symbols = {1, 0, 1, 0};
-        attack::runCovertChannel(system, cfg, symbols);
+        attack::runCovertChannel(system, {cfg}, symbols);
     }
     state.SetLabel("4 windows of 25 us each");
 }

@@ -1,6 +1,7 @@
 #include "attack/covert.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "attack/dram_addr.hh"
 #include "attack/message.hh"
@@ -261,58 +262,10 @@ makeChannelConfig(sys::System &system, ChannelKind kind,
     return cfg;
 }
 
-ChannelResult
-runCovertChannel(sys::System &system, const CovertConfig &cfg,
-                 const std::vector<std::uint8_t> &symbols,
-                 Tick epoch_delay)
-{
-    // The channel fields are the ground-truth contract: they must
-    // agree with where the configured addresses actually decode, or
-    // the result's stats view reads the wrong channel.
-    LEAKY_ASSERT(system.mapper().decode(cfg.sender_addr).channel ==
-                     cfg.sender_channel,
-                 "sender_addr does not decode onto sender_channel %u",
-                 cfg.sender_channel);
-    LEAKY_ASSERT(system.mapper().decode(cfg.receiver_addr).channel ==
-                     cfg.receiver_channel,
-                 "receiver_addr does not decode onto receiver_channel "
-                 "%u",
-                 cfg.receiver_channel);
-    LEAKY_ASSERT(cfg.sender_addr2 == 0 ||
-                     system.mapper().decode(cfg.sender_addr2).channel ==
-                         cfg.sender_channel,
-                 "sender_addr2 does not decode onto sender_channel %u",
-                 cfg.sender_channel);
-    for (const std::uint64_t addr : cfg.sender_sequence)
-        LEAKY_ASSERT(system.mapper().decode(addr).channel ==
-                         cfg.sender_channel,
-                     "sender_sequence entry does not decode onto "
-                     "sender_channel %u",
-                     cfg.sender_channel);
-    CovertSender sender(system, cfg);
-    CovertReceiver receiver(system, cfg);
+namespace {
 
-    const Tick epoch = system.now() + epoch_delay;
-    sender.transmit(symbols, epoch);
-    bool done = false;
-    receiver.listen(symbols.size(), epoch, [&done] { done = true; });
-
-    const Tick deadline =
-        epoch + (symbols.size() + 2) * cfg.window + 10 * sim::kUs;
-    while (!done && system.now() < deadline)
-        system.run(cfg.window);
-    LEAKY_ASSERT(done, "receiver did not finish before the deadline");
-
-    // Ground truth from the channel the receiver listens on — under
-    // channels > 1 an implicit channel-0 read would silently drop
-    // every preventive action on the other channels.
-    ChannelResult result = collectChannelResult(
-        cfg.window, cfg.levels, symbols, receiver.decoded(),
-        system.stats(cfg.receiver_channel));
-    result.detections = receiver.detections();
-    return result;
-}
-
+/** Eq.-1 metrics of (@p sent, @p received) at @p window / @p levels,
+ *  ground truth from the channel-scoped stats @p view. */
 ChannelResult
 collectChannelResult(Tick window, std::uint32_t levels,
                      std::vector<std::uint8_t> sent,
@@ -335,6 +288,81 @@ collectChannelResult(Tick window, std::uint32_t levels,
     return result;
 }
 
+/** The channel fields are the ground-truth contract: they must agree
+ *  with where the configured addresses actually decode, or the
+ *  result's stats view reads the wrong channel. */
+void
+checkChannels(const sys::System &system, const CovertConfig &cfg)
+{
+    LEAKY_ASSERT(system.mapper().decode(cfg.sender_addr).channel ==
+                     cfg.sender_channel,
+                 "sender_addr does not decode onto sender_channel %u",
+                 cfg.sender_channel);
+    LEAKY_ASSERT(system.mapper().decode(cfg.receiver_addr).channel ==
+                     cfg.receiver_channel,
+                 "receiver_addr does not decode onto receiver_channel "
+                 "%u",
+                 cfg.receiver_channel);
+    LEAKY_ASSERT(cfg.sender_addr2 == 0 ||
+                     system.mapper().decode(cfg.sender_addr2).channel ==
+                         cfg.sender_channel,
+                 "sender_addr2 does not decode onto sender_channel %u",
+                 cfg.sender_channel);
+    for (const std::uint64_t addr : cfg.sender_sequence)
+        LEAKY_ASSERT(system.mapper().decode(addr).channel ==
+                         cfg.sender_channel,
+                     "sender_sequence entry does not decode onto "
+                     "sender_channel %u",
+                     cfg.sender_channel);
+}
+
+} // namespace
+
+std::vector<ChannelResult>
+runCovertChannel(sys::System &system, const std::vector<CovertConfig> &cfgs,
+                 const std::vector<std::uint8_t> &symbols,
+                 Tick epoch_delay)
+{
+    LEAKY_ASSERT(!cfgs.empty(), "need at least one sender/receiver pair");
+    std::vector<std::unique_ptr<CovertSender>> senders;
+    std::vector<std::unique_ptr<CovertReceiver>> receivers;
+    Tick window = 0;
+    for (const CovertConfig &cfg : cfgs) {
+        checkChannels(system, cfg);
+        senders.push_back(std::make_unique<CovertSender>(system, cfg));
+        receivers.push_back(std::make_unique<CovertReceiver>(system, cfg));
+        window = std::max(window, cfg.window);
+    }
+
+    const Tick epoch = system.now() + epoch_delay;
+    std::size_t done = 0;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        senders[i]->transmit(symbols, epoch);
+        receivers[i]->listen(symbols.size(), epoch, [&done] { done += 1; });
+    }
+
+    const Tick deadline =
+        epoch + (symbols.size() + 2) * window + 10 * sim::kUs;
+    while (done < cfgs.size() && system.now() < deadline)
+        system.run(window);
+    LEAKY_ASSERT(done == cfgs.size(),
+                 "%zu of %zu receivers finished before the deadline", done,
+                 cfgs.size());
+
+    // Ground truth from the channel each receiver listens on — under
+    // channels > 1 an implicit channel-0 read would silently drop
+    // every preventive action on the other channels.
+    std::vector<ChannelResult> results;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        results.push_back(collectChannelResult(
+            cfgs[i].window, cfgs[i].levels, symbols,
+            receivers[i]->decoded(),
+            system.stats(cfgs[i].receiver_channel)));
+        results.back().detections = receivers[i]->detections();
+    }
+    return results;
+}
+
 std::vector<std::uint32_t>
 calibrateCuts(const sys::SystemConfig &sys_cfg, CovertConfig cfg,
               std::uint32_t reps_per_symbol)
@@ -348,7 +376,6 @@ calibrateCuts(const sys::SystemConfig &sys_cfg, CovertConfig cfg,
                                        static_cast<std::uint8_t>(s));
         CovertConfig train = cfg;
         train.levels = 2; // Decode irrelevant; we only need counts.
-        ChannelResult ignored;
         CovertSender sender(system, train);
         CovertReceiver receiver(system, train);
         const Tick epoch = system.now() + 2 * sim::kUs;
@@ -357,7 +384,6 @@ calibrateCuts(const sys::SystemConfig &sys_cfg, CovertConfig cfg,
         receiver.listen(ramp.size(), epoch, [&done] { done = true; });
         while (!done)
             system.run(train.window);
-        (void)ignored;
         double sum = 0.0;
         std::uint32_t n = 0;
         for (auto c : receiver.backoffCounts()) {

@@ -187,7 +187,7 @@ struct ChannelResult {
     double raw_bit_rate = 0.0; ///< bits/s.
     double capacity = 0.0;     ///< bits/s (Eq. 1).
     /** The receiver's per-window detections (CovertReceiver::
-     *  detections); filled by runCovertChannel only. */
+     *  detections). */
     std::vector<std::uint32_t> detections;
     /** Ground truth below is the RECEIVER channel's stats view —
      *  explicit per-channel counters, not an implicit channel 0. */
@@ -198,26 +198,17 @@ struct ChannelResult {
 };
 
 /**
- * Assemble a ChannelResult: Eq.-1 metrics from the (sent, received)
- * symbol streams at @p window / @p levels, ground truth from the
- * channel-scoped stats @p view. The single definition of how covert
- * results are collected — runCovertChannel and the multi-channel
- * aggregate runner both go through here.
+ * Run one complete transmission per config, concurrently on @p system:
+ * instantiate every sender and receiver, transmit @p symbols from all
+ * of them at one epoch, decode, and compute Eq.-1 metrics per pair
+ * (ground truth from each receiver channel's stats view). Runs the
+ * system's event queue; other agents (noise, background cores) may
+ * already be attached.
  */
-ChannelResult collectChannelResult(Tick window, std::uint32_t levels,
-                                   std::vector<std::uint8_t> sent,
-                                   std::vector<std::uint8_t> received,
-                                   const ctrl::CtrlStats &view);
-
-/**
- * Run a complete transmission on @p system: instantiate sender and
- * receiver, transmit @p symbols, decode, and compute Eq.-1 metrics.
- * Runs the system's event queue; other agents (noise, background cores)
- * may already be attached.
- */
-ChannelResult runCovertChannel(sys::System &system, const CovertConfig &cfg,
-                               const std::vector<std::uint8_t> &symbols,
-                               Tick epoch_delay = 2 * sim::kUs);
+std::vector<ChannelResult>
+runCovertChannel(sys::System &system, const std::vector<CovertConfig> &cfgs,
+                 const std::vector<std::uint8_t> &symbols,
+                 Tick epoch_delay = 2 * sim::kUs);
 
 /**
  * Fill in addresses/classifier/window defaults for @p system, placing

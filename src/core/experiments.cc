@@ -56,6 +56,60 @@ channelKindFor(DefenseKind kind)
     return prac_family ? ChannelKind::kPrac : ChannelKind::kRfm;
 }
 
+namespace {
+
+/**
+ * Run @p system in 1 ms slices until @p done is set. A generous
+ * simulated-time ceiling turns a wedged agent into a loud failure
+ * instead of an endless loop: every runner here finishes in well
+ * under a simulated second.
+ */
+void
+runUntilDone(sys::System &system, const bool &done, const char *what)
+{
+    const Tick deadline = system.now() + 60'000 * sim::kMs;
+    while (!done && system.now() < deadline)
+        system.run(sim::kMs);
+    LEAKY_ASSERT(done, "%s did not terminate", what);
+}
+
+/**
+ * Build and start one TraceCore per app, with source ids counting up
+ * from @p first_source. @p inst_budget caps each core's retired
+ * instructions; @p large_caches swaps in the §10.3 hierarchy and
+ * prefetcher. The caller keeps the cores alive while the system runs.
+ */
+std::vector<std::unique_ptr<sys::TraceCore>>
+startCores(sys::System &system, const std::vector<workload::AppSpec> &apps,
+           std::uint64_t inst_budget, std::int32_t first_source,
+           bool large_caches = false)
+{
+    std::vector<std::unique_ptr<sys::TraceCore>> cores;
+    std::int32_t source = first_source;
+    for (const auto &app : apps) {
+        sys::CoreConfig core_cfg;
+        core_cfg.inst_budget = inst_budget;
+        core_cfg.mshrs = app.mlp;
+        if (large_caches) {
+            core_cfg.caches = sys::CacheHierarchyConfig::largeHierarchy();
+            core_cfg.enable_prefetcher = true;
+        }
+        auto trace = workload::generateTrace(app, system.mapper(), 40'000);
+        cores.push_back(std::make_unique<sys::TraceCore>(
+            system, core_cfg, std::move(trace), source++));
+        cores.back()->start();
+    }
+    return cores;
+}
+
+/** Budget of background cores that run for the whole experiment. */
+constexpr std::uint64_t kRunForever = ~std::uint64_t{0} >> 1;
+
+/** First source id of background cores (attackers use 200+). */
+constexpr std::int32_t kBackgroundSource = 10;
+
+} // namespace
+
 // ------------------------------------------------------------- Fig. 2
 
 LatencyTraceResult
@@ -77,8 +131,7 @@ runLatencyTrace(std::uint32_t iterations, std::uint32_t rfms_per_backoff)
 
     bool done = false;
     probe.start([&done] { done = true; });
-    while (!done)
-        system.run(sim::kMs);
+    runUntilDone(system, done, "latency probe");
 
     LatencyTraceResult result;
     result.samples = probe.samples();
@@ -134,35 +187,6 @@ channelSystemConfig(const ChannelRunSpec &spec)
     cfg.ctrl.deterministic_refresh = spec.filter_refresh;
     return cfg;
 }
-
-namespace {
-
-/** Attach background SPEC-like cores; returns them for lifetime. */
-std::vector<std::unique_ptr<sys::TraceCore>>
-attachBackground(sys::System &system,
-                 const std::vector<workload::AppSpec> &apps,
-                 bool large_caches, std::uint32_t trace_records = 40'000)
-{
-    std::vector<std::unique_ptr<sys::TraceCore>> cores;
-    std::int32_t source = 10;
-    for (const auto &app : apps) {
-        sys::CoreConfig core_cfg;
-        core_cfg.inst_budget = ~std::uint64_t{0} >> 1; // Run forever.
-        core_cfg.mshrs = app.mlp;
-        if (large_caches) {
-            core_cfg.caches = sys::CacheHierarchyConfig::largeHierarchy();
-            core_cfg.enable_prefetcher = true;
-        }
-        auto trace = workload::generateTrace(app, system.mapper(),
-                                             trace_records);
-        cores.push_back(std::make_unique<sys::TraceCore>(
-            system, core_cfg, std::move(trace), source++));
-        cores.back()->start();
-    }
-    return cores;
-}
-
-} // namespace
 
 attack::CovertConfig
 channelConfig(sys::System &system, const ChannelRunSpec &spec)
@@ -261,13 +285,13 @@ runChannelOn(sys::System &system, const ChannelRunSpec &spec)
         noise = std::make_unique<attack::NoiseAgent>(system, noise_cfg);
         noise->start();
     }
-    auto background =
-        attachBackground(system, spec.background, spec.large_caches);
+    auto background = startCores(system, spec.background, kRunForever,
+                                 kBackgroundSource, spec.large_caches);
 
     const auto bits = attack::patternBits(
         spec.pattern, spec.message_bytes * 8);
     const auto symbols = attack::symbolsFromBits(bits, spec.levels);
-    return attack::runCovertChannel(system, cfg, symbols);
+    return attack::runCovertChannel(system, {cfg}, symbols)[0];
 }
 
 attack::ChannelResult
@@ -306,8 +330,8 @@ runMessageDemo(attack::ChannelKind kind, const std::string &message,
     sys::System system(channelSystemConfig(spec));
     const auto bits = attack::bitsFromString(message);
     const auto run = attack::runCovertChannel(
-        system, channelConfig(system, spec),
-        attack::symbolsFromBits(bits, 2));
+        system, {channelConfig(system, spec)},
+        attack::symbolsFromBits(bits, 2))[0];
 
     MessageDemoResult result;
     result.sent_bits = bits;
@@ -338,7 +362,7 @@ collectOneFingerprint(const FingerprintSpec &spec, std::uint32_t site,
     auto trace = workload::generateWebsiteTrace(web_cfg, system.mapper());
 
     sys::CoreConfig core_cfg;
-    core_cfg.inst_budget = ~std::uint64_t{0} >> 1;
+    core_cfg.inst_budget = kRunForever;
     if (spec.large_caches) {
         core_cfg.caches = sys::CacheHierarchyConfig::largeHierarchy();
         core_cfg.enable_prefetcher = true;
@@ -348,11 +372,11 @@ collectOneFingerprint(const FingerprintSpec &spec, std::uint32_t site,
 
     std::vector<std::unique_ptr<sys::TraceCore>> background;
     if (spec.background_noise) {
-        background = attachBackground(
+        background = startCores(
             system,
             {workload::appsWithIntensity(
                  workload::Intensity::kMedium)[site % 3]},
-            spec.large_caches);
+            kRunForever, kBackgroundSource, spec.large_caches);
     }
 
     // The attacker's probe, placed away from the browser's rows;
@@ -374,8 +398,7 @@ collectOneFingerprint(const FingerprintSpec &spec, std::uint32_t site,
 
     bool done = false;
     probe.start([&done] { done = true; });
-    while (!done)
-        system.run(sim::kMs);
+    runUntilDone(system, done, "fingerprint probe");
 
     FingerprintSample sample;
     sample.site = site;
@@ -447,8 +470,7 @@ runCounterLeakTrial(std::uint32_t secret)
             done = true;
         });
     });
-    while (!done)
-        system.run(sim::kMs);
+    runUntilDone(system, done, "counter leak");
 
     CounterLeakTrial trial;
     trial.secret = secret;
@@ -474,54 +496,31 @@ runMultiChannelAggregate(const MultiChannelSpec &spec)
     // the same payload concurrently. Per-channel defense instances
     // mean the pairs never contend for counter state — only the event
     // queue is shared.
+    std::vector<attack::CovertConfig> cfgs;
+    for (std::uint32_t ch = 0; ch < spec.channels; ++ch) {
+        cfgs.push_back(attack::makeChannelConfig(
+            system, ChannelKind::kPrac, 2, ch));
+        cfgs.back().sender_source = 200 + static_cast<std::int32_t>(2 * ch);
+        cfgs.back().receiver_source =
+            201 + static_cast<std::int32_t>(2 * ch);
+    }
     const auto bits =
         attack::patternBits(spec.pattern, spec.message_bytes * 8);
-    const auto symbols = attack::symbolsFromBits(bits, 2);
-    std::vector<std::unique_ptr<attack::CovertSender>> senders;
-    std::vector<std::unique_ptr<attack::CovertReceiver>> receivers;
-    std::uint32_t done_count = 0;
-    Tick window = 0; // Same kind/levels on every channel ⇒ one window.
-    for (std::uint32_t ch = 0; ch < spec.channels; ++ch) {
-        attack::CovertConfig cfg = attack::makeChannelConfig(
-            system, ChannelKind::kPrac, 2, ch);
-        cfg.sender_source = 200 + static_cast<std::int32_t>(2 * ch);
-        cfg.receiver_source = 201 + static_cast<std::int32_t>(2 * ch);
-        window = cfg.window;
-        senders.push_back(
-            std::make_unique<attack::CovertSender>(system, cfg));
-        receivers.push_back(
-            std::make_unique<attack::CovertReceiver>(system, cfg));
-    }
-    const Tick epoch = system.now() + 2 * sim::kUs;
-    for (std::uint32_t ch = 0; ch < spec.channels; ++ch) {
-        senders[ch]->transmit(symbols, epoch);
-        receivers[ch]->listen(symbols.size(), epoch,
-                              [&done_count] { done_count += 1; });
-    }
-    const Tick deadline =
-        epoch + (symbols.size() + 2) * window + 10 * sim::kUs;
-    while (done_count < spec.channels && system.now() < deadline)
-        system.run(window);
-    LEAKY_ASSERT(done_count == spec.channels,
-                 "%u of %u receivers finished before the deadline",
-                 done_count, spec.channels);
 
     MultiChannelResult out;
-    for (std::uint32_t ch = 0; ch < spec.channels; ++ch) {
-        attack::ChannelResult r = attack::collectChannelResult(
-            window, 2, symbols, receivers[ch]->decoded(),
-            system.stats(ch));
+    out.per_channel = attack::runCovertChannel(
+        system, cfgs, attack::symbolsFromBits(bits, 2));
+    for (const attack::ChannelResult &r : out.per_channel) {
         out.aggregate_raw_bit_rate += r.raw_bit_rate;
         out.aggregate_capacity += r.capacity;
         out.mean_symbol_error +=
             r.symbol_error / static_cast<double>(spec.channels);
-        out.per_channel.push_back(std::move(r));
     }
     out.aggregate_actions = system.aggregateStats().preventiveActions();
     return out;
 }
 
-// ------------------------------- online mapping recovery (ROADMAP 2)
+// ------------------------ online mapping recovery (DARE-style, §5.2)
 
 namespace {
 
@@ -589,13 +588,7 @@ runMappingRecoveryCell(const dram::MappingSpec &mapping,
 
     bool done = false;
     attacker.start([&done] { done = true; });
-    // Generous ceiling: even the xor-far cell solves in well under a
-    // simulated second; a wedged attacker fails loudly instead of
-    // spinning forever.
-    const Tick deadline = system.now() + 60'000 * sim::kMs;
-    while (!done && system.now() < deadline)
-        system.run(sim::kMs);
-    LEAKY_ASSERT(done, "mapping recovery did not terminate");
+    runUntilDone(system, done, "mapping recovery");
 
     MappingRecoveryCellResult out;
     out.recovered = attacker.result();
@@ -649,25 +642,6 @@ runCoresToBudget(sys::System &system,
     }
 }
 
-std::vector<std::unique_ptr<sys::TraceCore>>
-makeCores(sys::System &system, const workload::Mix &mix,
-          std::uint64_t insts_per_core)
-{
-    std::vector<std::unique_ptr<sys::TraceCore>> cores;
-    std::int32_t source = 0;
-    for (const auto &app : mix.apps) {
-        sys::CoreConfig core_cfg;
-        core_cfg.inst_budget = insts_per_core;
-        core_cfg.mshrs = app.mlp;
-        auto trace = workload::generateTrace(app, system.mapper(),
-                                             40'000);
-        cores.push_back(std::make_unique<sys::TraceCore>(
-            system, core_cfg, std::move(trace), source++));
-        cores.back()->start();
-    }
-    return cores;
-}
-
 constexpr Tick kPerfRunCap = 80 * sim::kMs;
 
 /** Weighted speedup of @p mix on a system with @p kind at @p nrh. */
@@ -681,7 +655,7 @@ sharedWs(DefenseKind kind, std::uint32_t nrh, const workload::Mix &mix,
     // PRAC counters are warm (see defense/prac.hh).
     cfg.defense.warm_counters = true;
     sys::System system(cfg);
-    auto cores = makeCores(system, mix, insts_per_core);
+    auto cores = startCores(system, mix.apps, insts_per_core, 0);
     runCoresToBudget(system, cores, kPerfRunCap);
     std::vector<double> ipc_shared;
     for (const auto &core : cores)
@@ -698,8 +672,7 @@ perfBaseline(const workload::Mix &mix, std::uint64_t insts_per_core)
     for (const auto &app : mix.apps) {
         sys::System system(
             sys::SystemConfig::paper(DefenseKind::kNone, 1024));
-        workload::Mix solo{mix.name + "-solo", {app}};
-        auto cores = makeCores(system, solo, insts_per_core);
+        auto cores = startCores(system, {app}, insts_per_core, 0);
         runCoresToBudget(system, cores, kPerfRunCap);
         base.ipc_alone.push_back(cores[0]->ipcAt(system.now()));
     }

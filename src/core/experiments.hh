@@ -240,7 +240,7 @@ struct MultiChannelResult {
 
 MultiChannelResult runMultiChannelAggregate(const MultiChannelSpec &spec);
 
-// ------------------------------- online mapping recovery (ROADMAP 2)
+// ------------------------ online mapping recovery (DARE-style, §5.2)
 
 /** One point on the recovery figure's mapping axis. */
 struct RecoveryMappingCase {

@@ -87,7 +87,7 @@ EvalResult evaluatePattern(const HammerPattern &p, const EvalSpec &spec)
         attack::patternBits(run.pattern, run.message_bytes * 8);
     EvalResult out;
     out.channel = attack::runCovertChannel(
-        system, cfg, attack::symbolsFromBits(bits, run.levels));
+        system, {cfg}, attack::symbolsFromBits(bits, run.levels))[0];
     out.score = scoreResult(out.channel);
     const std::size_t windows =
         out.channel.sent.empty() ? 1 : out.channel.sent.size();

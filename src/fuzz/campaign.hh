@@ -1,13 +1,14 @@
 /**
  * @file
- * The fuzzing loop (ROADMAP item 1): drive generated HammerPatterns
- * through sys::System against the defense families and score them by
- * covert capacity + preventive-action leakage. One fuzz::Campaign is a
- * small evolutionary search against ONE defense — deliberately
- * sequential, so a campaign is a pure function of its config and runs
- * as a single sweep job; the fuzz-search figure and `leakyhammer fuzz`
- * fan the seven campaigns out over the work-stealing SweepPool, which
- * makes the whole search bit-identical for any thread count.
+ * The fuzzing loop of the Blacksmith-style pattern search: drive
+ * generated HammerPatterns through sys::System against the defense
+ * families and score them by covert capacity + preventive-action
+ * leakage. One fuzz::Campaign is a small evolutionary search against
+ * ONE defense — deliberately sequential, so a campaign is a pure
+ * function of its config and runs as a single sweep job; the
+ * fuzz-search figure and `leakyhammer fuzz` fan the seven campaigns out
+ * over the work-stealing SweepPool, which makes the whole search
+ * bit-identical for any thread count.
  *
  * The evaluation cell is the cross-defense figure's noise-free
  * core::ChannelRunSpec (crossDefenseSystemConfig's defense, the

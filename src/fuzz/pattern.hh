@@ -2,7 +2,7 @@
  * @file
  * Serializable aggressor access patterns — the value type of the
  * pattern fuzzer (Blacksmith/ZenHammer-style frequency/phase/amplitude
- * search, ROADMAP item 1). A HammerPattern describes one base period of
+ * search). A HammerPattern describes one base period of
  * aggressor activity: each Aggressor tuple names a logical row slot and
  * the (frequency, phase, amplitude) at which that row's accesses recur
  * within the period. The covert sender replays the expanded access

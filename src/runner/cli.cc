@@ -488,8 +488,8 @@ cmdFuzz(int argc, char **argv)
     core::Table table({"defense", "best score", "capacity (Kbps)",
                        "error", "actions", "pattern"});
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const auto kind = static_cast<defense::DefenseKind>(
-            static_cast<int>(jobs[i].param("defense")));
+        const auto kind =
+            asEnum<defense::DefenseKind>(jobs[i].param("defense"));
         const fuzz::PatternScore &top = best[i].best;
         report += std::string("defense=") + defense::defenseName(kind) +
                   " score=" + csvCell(top.score) +

@@ -2,23 +2,43 @@
 
 #include <filesystem>
 #include <iterator>
+#include <utility>
 
 #include "runner/figures_internal.hh"
 
 namespace leaky::runner {
 
-Scale
-scaleOf(const RunOptions &opts)
+SweepSpec
+resolveSweep(const RunOptions &opts, const std::string &name,
+             std::uint64_t default_seed, const SpecBuilder &build)
 {
-    if (opts.full)
-        return Scale::kFull;
-    return opts.smoke ? Scale::kSmoke : Scale::kDefault;
+    const Scale scale = opts.full    ? Scale::kFull
+                        : opts.smoke ? Scale::kSmoke
+                                     : Scale::kDefault;
+    const std::uint64_t seed = opts.seed ? opts.seed : default_seed;
+    SweepSpec spec = build(scale, seed);
+    spec.name = name;
+    spec.base_seed = seed;
+    return spec;
 }
 
-std::uint64_t
-seedOr(const RunOptions &opts, std::uint64_t fallback)
+Figure
+makeFigure(std::string name, std::string title, std::string paper_ref,
+           std::string csv_name, std::uint64_t default_seed,
+           SpecBuilder build,
+           std::function<std::string(const SweepResult &)> summarize)
 {
-    return opts.seed ? opts.seed : fallback;
+    Figure fig;
+    fig.name = std::move(name);
+    fig.title = std::move(title);
+    fig.paper_ref = std::move(paper_ref);
+    fig.csv_name = std::move(csv_name);
+    fig.make = [name = fig.name, default_seed,
+                build = std::move(build)](const RunOptions &opts) {
+        return resolveSweep(opts, name, default_seed, build);
+    };
+    fig.summarize = std::move(summarize);
+    return fig;
 }
 
 std::vector<double>

@@ -32,33 +32,18 @@ using defense::DefenseKind;
 Figure
 thresholdFigure()
 {
-    Figure fig;
-    fig.name = "threshold";
-    fig.title = "Covert-channel capacity vs RowHammer threshold "
-                "across defenses";
-    fig.paper_ref = "§6, §7, §11 (Figs. 11-13 axis)";
-    fig.csv_name = "fig_capacity_vs_threshold.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "threshold";
-        spec.base_seed = seedOr(opts, 1);
-        std::vector<double> defenses;
-        if (scale == Scale::kSmoke) {
-            defenses = {
-                static_cast<double>(DefenseKind::kPrac),
-                static_cast<double>(DefenseKind::kPrfm),
-                static_cast<double>(DefenseKind::kFrRfm)};
-        } else {
-            defenses = {
-                static_cast<double>(DefenseKind::kPrac),
-                static_cast<double>(DefenseKind::kPracRiac),
-                static_cast<double>(DefenseKind::kPracBank),
-                static_cast<double>(DefenseKind::kPrfm),
-                static_cast<double>(DefenseKind::kFrRfm)};
-        }
         spec.axes = {
-            {"defense", std::move(defenses)},
+            enumAxis("defense",
+                     scale == Scale::kSmoke
+                         ? std::vector<DefenseKind>{DefenseKind::kPrac,
+                                                    DefenseKind::kPrfm,
+                                                    DefenseKind::kFrRfm}
+                         : std::vector<DefenseKind>{
+                               DefenseKind::kPrac, DefenseKind::kPracRiac,
+                               DefenseKind::kPracBank, DefenseKind::kPrfm,
+                               DefenseKind::kFrRfm}),
             {"nrh", scale == Scale::kSmoke
                         ? std::vector<double>{256, 128, 64}
                         : std::vector<double>{1024, 512, 256, 128, 64}}};
@@ -67,9 +52,7 @@ thresholdFigure()
                         "error_probability", "capacity", "backoffs",
                         "rfms"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            const auto kind =
-                static_cast<DefenseKind>(static_cast<int>(
-                    job.param("defense")));
+            const auto kind = asEnum<DefenseKind>(job.param("defense"));
             const auto nrh =
                 static_cast<std::uint32_t>(job.param("nrh"));
             // Secure parameters derive from NRH via policy.hh; only
@@ -89,12 +72,11 @@ thresholdFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         core::Table table({"defense", "NRH", "error prob",
                            "capacity (Kbps)"});
         for (const auto &row : result.rows)
-            table.addRow({defense::defenseName(static_cast<DefenseKind>(
-                              static_cast<int>(row[0]))),
+            table.addRow({defense::defenseName(asEnum<DefenseKind>(row[0])),
                           core::fmt(row[1], 0), core::fmt(row[3], 3),
                           core::fmt(row[4] / 1000.0, 1)});
         return table.str() +
@@ -102,7 +84,11 @@ thresholdFigure()
                "(capacity ~0) at any threshold -- the paper's §11.1 "
                "countermeasure.\n";
     };
-    return fig;
+    return makeFigure("threshold",
+                      "Covert-channel capacity vs RowHammer threshold "
+                      "across defenses",
+                      "§6, §7, §11 (Figs. 11-13 axis)",
+                      "fig_capacity_vs_threshold.csv", 1, sweep, summarize);
 }
 
 // ----------------------------------------------------------- Fig. 13
@@ -116,48 +102,35 @@ struct BaselineSlot {
 Figure
 mitigationFigure()
 {
-    Figure fig;
-    fig.name = "mitigation";
-    fig.title = "Performance of RowHammer defenses vs threshold "
-                "(normalized weighted speedup)";
-    fig.paper_ref = "Fig. 13";
-    fig.csv_name = "fig_mitigation_performance.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t seed) {
         SweepSpec spec;
-        spec.name = "mitigation";
-        spec.base_seed = seedOr(opts, 42);
-        std::vector<double> defenses;
+        std::vector<DefenseKind> defenses;
         std::vector<double> nrhs;
         std::uint32_t mixes = 3;
         std::uint64_t insts = 100'000;
         if (scale == Scale::kSmoke) {
-            defenses = {static_cast<double>(DefenseKind::kPrac),
-                        static_cast<double>(DefenseKind::kPrfm),
-                        static_cast<double>(DefenseKind::kFrRfm)};
+            defenses = {DefenseKind::kPrac, DefenseKind::kPrfm,
+                        DefenseKind::kFrRfm};
             nrhs = {1024, 64};
             mixes = 1;
             insts = 20'000;
         } else {
-            defenses = {static_cast<double>(DefenseKind::kPrac),
-                        static_cast<double>(DefenseKind::kPrfm),
-                        static_cast<double>(DefenseKind::kPracRiac),
-                        static_cast<double>(DefenseKind::kFrRfm),
-                        static_cast<double>(DefenseKind::kPracBank)};
+            defenses = {DefenseKind::kPrac, DefenseKind::kPrfm,
+                        DefenseKind::kPracRiac, DefenseKind::kFrRfm,
+                        DefenseKind::kPracBank};
             nrhs = {1024, 512, 256, 128, 64};
             if (scale == Scale::kFull) {
                 mixes = 60;
                 insts = 200'000;
             }
         }
-        spec.axes = {{"defense", std::move(defenses)},
+        spec.axes = {enumAxis("defense", defenses),
                      {"nrh", std::move(nrhs)},
                      {"mix", iota(mixes)}};
         spec.columns = {"defense", "nrh", "mix", "normalized_ws"};
         // Mix generation is a pure function of the base seed: build
         // the Fig.-13 workload set once and share it across jobs.
-        const auto all_mixes =
-            workload::makeMixes(mixes, 4, spec.base_seed);
+        const auto all_mixes = workload::makeMixes(mixes, 4, seed);
         // A mix's baseline does not depend on (defense, NRH), so the
         // first job of each mix computes it and the rest reuse it.
         // Filled inside jobs, never here, so it runs in parallel.
@@ -169,8 +142,7 @@ mitigationFigure()
                 slot.base = core::perfBaseline(all_mixes[m], insts);
             });
             const double ws = core::normalizedWs(
-                static_cast<DefenseKind>(
-                    static_cast<int>(job.param("defense"))),
+                asEnum<DefenseKind>(job.param("defense")),
                 static_cast<std::uint32_t>(job.param("nrh")),
                 all_mixes[m], slot.base, insts);
             return {{job.param("defense"), job.param("nrh"),
@@ -178,18 +150,21 @@ mitigationFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         const auto mean_ws = groupMean(result, {0, 1}, 3);
         core::Table table({"defense", "NRH", "normalized WS"});
         for (const auto &[key, ws] : mean_ws)
-            table.addRow({defense::defenseName(static_cast<DefenseKind>(
-                              static_cast<int>(key[0]))),
+            table.addRow({defense::defenseName(asEnum<DefenseKind>(key[0])),
                           core::fmt(key[1], 0), core::fmt(ws, 3)});
         return table.str() +
                "\npaper reference: FR-RFM costs 18.2x at NRH = 64; "
                "PRAC stays within a few percent (Fig. 13).\n";
     };
-    return fig;
+    return makeFigure("mitigation",
+                      "Performance of RowHammer defenses vs threshold "
+                      "(normalized weighted speedup)",
+                      "Fig. 13", "fig_mitigation_performance.csv", 42, sweep,
+                      summarize);
 }
 
 // ------------------------------------------------------------- §11.4
@@ -212,17 +187,8 @@ constexpr CountermeasureScenario kCountermeasureScenarios[] = {
 Figure
 countermeasuresFigure()
 {
-    Figure fig;
-    fig.name = "countermeasures";
-    fig.title = "PRAC covert channel vs the paper's countermeasures "
-                "(capacity reduction)";
-    fig.paper_ref = "§11.4";
-    fig.csv_name = "tab_countermeasure_capacity.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "countermeasures";
-        spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"scenario", {0, 1, 2, 3, 4}}};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 25, 100);
         spec.columns = {"scenario", "error_probability", "capacity",
@@ -255,7 +221,7 @@ countermeasuresFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         double baseline = 0.0;
         for (const auto &row : result.rows)
             if (row[0] == 0)
@@ -277,7 +243,11 @@ countermeasuresFigure()
                "Bank-Level PRAC removes cross-bank visibility but "
                "not same-bank attacks.\n";
     };
-    return fig;
+    return makeFigure("countermeasures",
+                      "PRAC covert channel vs the paper's countermeasures "
+                      "(capacity reduction)",
+                      "§11.4", "tab_countermeasure_capacity.csv", 1, sweep,
+                      summarize);
 }
 
 // -------------------------------------------------------------- §9.1
@@ -285,17 +255,8 @@ countermeasuresFigure()
 Figure
 counterLeakFigure()
 {
-    Figure fig;
-    fig.name = "counter-leak";
-    fig.title = "Leaking a PRAC activation-counter value through a "
-                "shared row";
-    fig.paper_ref = "§9.1, Table 3 (row)";
-    fig.csv_name = "tab_counter_leak.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "counter-leak";
-        spec.base_seed = seedOr(opts, 1234);
         spec.axes = {{"trial",
                       iota(byScale<std::uint32_t>(scale, 6, 24, 64))}};
         spec.columns = {"trial", "secret", "leaked", "abs_error",
@@ -318,7 +279,7 @@ counterLeakFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         double total_us = 0, total_err = 0;
         std::size_t within = 0;
         for (const auto &row : result.rows) {
@@ -342,7 +303,11 @@ counterLeakFigure()
                "\npaper reference: a 7-bit counter value leaks in "
                "13.6 us on average => 501 Kbps.\n";
     };
-    return fig;
+    return makeFigure("counter-leak",
+                      "Leaking a PRAC activation-counter value through a "
+                      "shared row",
+                      "§9.1, Table 3 (row)", "tab_counter_leak.csv", 1234,
+                      sweep, summarize);
 }
 
 // ----------------------------------------------------------- Table 3
@@ -367,17 +332,8 @@ constexpr GranularityScenario kGranularityScenarios[] = {
 Figure
 granularityFigure()
 {
-    Figure fig;
-    fig.name = "granularity";
-    fig.title = "Leaked information vs attacker/victim colocation "
-                "granularity";
-    fig.paper_ref = "Table 3";
-    fig.csv_name = "tab_leakage_granularity.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "granularity";
-        spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"scenario", {0, 1, 2, 3}}};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 20, 50);
         spec.columns = {"scenario", "error_probability", "capacity"};
@@ -397,7 +353,7 @@ granularityFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         const auto verdict = [](double error) {
             return std::string(error < 0.15 ? "leaks" : "no signal") +
                    " (err " + core::fmt(error, 2) + ")";
@@ -419,7 +375,11 @@ granularityFigure()
                "at channel/bank-group granularity; PRAC leaks counter "
                "values at row granularity.\n";
     };
-    return fig;
+    return makeFigure("granularity",
+                      "Leaked information vs attacker/victim colocation "
+                      "granularity",
+                      "Table 3", "tab_leakage_granularity.csv", 1, sweep,
+                      summarize);
 }
 
 // --------------------------------------------------------------- §12
@@ -427,16 +387,8 @@ granularityFigure()
 Figure
 triggerFigure()
 {
-    Figure fig;
-    fig.name = "trigger";
-    fig.title = "Exact vs random preventive-action trigger algorithms";
-    fig.paper_ref = "§12";
-    fig.csv_name = "tab_trigger_algorithms.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "trigger";
-        spec.base_seed = seedOr(opts, 1);
         // Scenario axis: 0 = PRAC, 1 = PRFM, 2.. = PARA at rising p.
         spec.axes = {{"scenario", scale == Scale::kSmoke
                                       ? std::vector<double>{0, 1, 3}
@@ -473,7 +425,7 @@ triggerFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         core::Table table({"defense (trigger class)", "error prob",
                            "capacity (Kbps)"});
         for (const auto &row : result.rows) {
@@ -492,7 +444,11 @@ triggerFigure()
                "the channel at low action rates, though at higher p "
                "a statistical channel persists.\n";
     };
-    return fig;
+    return makeFigure("trigger",
+                      "Exact vs random preventive-action trigger "
+                      "algorithms",
+                      "§12", "tab_trigger_algorithms.csv", 1, sweep,
+                      summarize);
 }
 
 } // namespace

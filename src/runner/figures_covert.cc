@@ -23,22 +23,41 @@ namespace leaky::runner {
 namespace {
 
 using attack::ChannelKind;
+using attack::MessagePattern;
+using workload::Intensity;
+
+/** The two covert channels, PRAC = 0 and RFM = 1 in the CSVs. */
+Axis
+channelAxis()
+{
+    return enumAxis<ChannelKind>("channel",
+                                 {ChannelKind::kPrac, ChannelKind::kRfm});
+}
+
+/** The four §6.3 message patterns. */
+Axis
+patternAxis()
+{
+    return enumAxis<MessagePattern>(
+        "pattern",
+        {MessagePattern::kAllOnes, MessagePattern::kAllZeros,
+         MessagePattern::kCheckered0, MessagePattern::kCheckered1});
+}
+
+/** Summary label of a `channel` cell. */
+const char *
+channelName(double cell)
+{
+    return asEnum<ChannelKind>(cell) == ChannelKind::kPrac ? "PRAC" : "RFM";
+}
 
 // ------------------------------------------------------------ Fig. 2
 
 Figure
 latencyFigure()
 {
-    Figure fig;
-    fig.name = "latency";
-    fig.title = "Latency bands of consecutive attacker requests (PRAC)";
-    fig.paper_ref = "Fig. 2";
-    fig.csv_name = "fig_latency_bands.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "latency";
-        spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"rfms_per_backoff",
                       scale == Scale::kSmoke
                           ? std::vector<double>{4}
@@ -65,7 +84,7 @@ latencyFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         core::Table table({"RFMs/back-off", "conflict (ns)",
                            "refresh (ns)", "back-off (ns)"});
         for (const auto &row : result.rows)
@@ -75,7 +94,9 @@ latencyFigure()
                "\nThe three separable bands are what makes preventive "
                "actions user-space observable (paper Fig. 2).\n";
     };
-    return fig;
+    return makeFigure(
+        "latency", "Latency bands of consecutive attacker requests (PRAC)",
+        "Fig. 2", "fig_latency_bands.csv", 1, sweep, summarize);
 }
 
 // ------------------------------------------- Fig. 2 (back-off period)
@@ -83,17 +104,8 @@ latencyFigure()
 Figure
 backoffPeriodFigure()
 {
-    Figure fig;
-    fig.name = "backoff-period";
-    fig.title = "Back-off periodicity under continuous hammering "
-                "(2 x NBO - 1 requests)";
-    fig.paper_ref = "Fig. 2 (x-axis)";
-    fig.csv_name = "fig_backoff_period.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "backoff-period";
-        spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"iterations",
                       byScale(scale, std::vector<double>{560},
                               std::vector<double>{560, 1120},
@@ -123,7 +135,7 @@ backoffPeriodFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         double sum = 0;
         std::size_t count = 0;
         for (const auto &row : result.rows) {
@@ -142,7 +154,11 @@ backoffPeriodFigure()
                "\nWith two alternating probe rows each back-off "
                "recurs every 2 x NBO - 1 requests (paper Fig. 2).\n";
     };
-    return fig;
+    return makeFigure("backoff-period",
+                      "Back-off periodicity under continuous hammering "
+                      "(2 x NBO - 1 requests)",
+                      "Fig. 2 (x-axis)", "fig_backoff_period.csv", 1,
+                      sweep, summarize);
 }
 
 // ------------------------------------------- Figs. 3 and 6 (messages)
@@ -151,20 +167,11 @@ Figure
 messageFigure(ChannelKind kind)
 {
     const bool prac = kind == ChannelKind::kPrac;
-    Figure fig;
-    fig.name = prac ? "message-prac" : "message-rfm";
-    fig.title = std::string("40-bit \"MICRO\" transmission over the ") +
-                (prac ? "PRAC" : "RFM") + " covert channel";
-    fig.paper_ref = prac ? "Fig. 3" : "Fig. 6";
-    fig.csv_name = prac ? "fig_message_prac.csv" : "fig_message_rfm.csv";
-    fig.make = [kind, name = fig.name](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [kind](Scale scale, std::uint64_t) {
         // Smoke transmits one character; the paper message is "MICRO".
         const std::string message =
             scale == Scale::kSmoke ? "M" : "MICRO";
         SweepSpec spec;
-        spec.name = name;
-        spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"message_bits",
                       {static_cast<double>(message.size() * 8)}}};
         spec.columns = {"window", "sent", "detections", "decoded"};
@@ -181,7 +188,7 @@ messageFigure(ChannelKind kind)
         };
         return spec;
     };
-    fig.summarize = [prac](const SweepResult &result) {
+    auto summarize = [prac](const SweepResult &result) {
         std::vector<bool> sent, decoded;
         std::size_t errors = 0;
         for (const auto &row : result.rows) {
@@ -202,7 +209,14 @@ messageFigure(ChannelKind kind)
                        "events; logic-0 windows fewer (paper Fig. 6)."
                        "\n");
     };
-    return fig;
+    return makeFigure(prac ? "message-prac" : "message-rfm",
+                      std::string("40-bit \"MICRO\" transmission over "
+                                  "the ") +
+                          (prac ? "PRAC" : "RFM") + " covert channel",
+                      prac ? "Fig. 3" : "Fig. 6",
+                      prac ? "fig_message_prac.csv"
+                           : "fig_message_rfm.csv",
+                      1, sweep, summarize);
 }
 
 // ----------------------------------- Figs. 3 & 6 lower panels (§6/7.3)
@@ -210,28 +224,17 @@ messageFigure(ChannelKind kind)
 Figure
 bitrateFigure()
 {
-    Figure fig;
-    fig.name = "bitrate";
-    fig.title = "Noise-free raw bit rate over the four message "
-                "patterns (PRAC and RFM channels)";
-    fig.paper_ref = "§6.3 & §7.3";
-    fig.csv_name = "fig_raw_bitrate.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "bitrate";
-        spec.base_seed = seedOr(opts, 1);
-        spec.axes = {{"channel", {0, 1}}, {"pattern", {0, 1, 2, 3}}};
+        spec.axes = {channelAxis(), patternAxis()};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 25, 100);
         spec.columns = {"channel", "pattern", "raw_bit_rate",
                         "error_probability", "capacity", "backoffs",
                         "rfms"};
         spec.job = [bytes](const Job &job) -> JobRows {
             core::ChannelRunSpec run;
-            run.kind = job.param("channel") < 0.5 ? ChannelKind::kPrac
-                                                  : ChannelKind::kRfm;
-            run.pattern = static_cast<attack::MessagePattern>(
-                static_cast<int>(job.param("pattern")));
+            run.kind = asEnum<ChannelKind>(job.param("channel"));
+            run.pattern = asEnum<MessagePattern>(job.param("pattern"));
             run.message_bytes = bytes;
             run.seed = job.seed;
             const auto result = core::runChannel(run);
@@ -243,14 +246,14 @@ bitrateFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         const auto raw = groupMean(result, {0}, 2);
         const auto error = groupMean(result, {0}, 3);
         const auto capacity = groupMean(result, {0}, 4);
         core::Table table({"channel", "raw (Kbps)", "error prob",
                            "capacity (Kbps)"});
         for (const auto &[key, rate] : raw)
-            table.addRow({key[0] < 0.5 ? "PRAC" : "RFM",
+            table.addRow({channelName(key[0]),
                           core::fmt(rate / 1000.0, 1),
                           core::fmt(error.at(key), 3),
                           core::fmt(capacity.at(key) / 1000.0, 1)});
@@ -259,7 +262,11 @@ bitrateFigure()
                "48.7 Kbps (RFM, §7.3), averaged over the four "
                "patterns.\n";
     };
-    return fig;
+    return makeFigure("bitrate",
+                      "Noise-free raw bit rate over the four message "
+                      "patterns (PRAC and RFM channels)",
+                      "§6.3 & §7.3", "fig_raw_bitrate.csv", 1, sweep,
+                      summarize);
 }
 
 // ----------------------------------------------------- Figs. 4 and 7
@@ -267,17 +274,8 @@ bitrateFigure()
 Figure
 capacityFigure()
 {
-    Figure fig;
-    fig.name = "capacity";
-    fig.title = "Covert-channel capacity vs noise intensity "
-                "(PRAC and RFM channels)";
-    fig.paper_ref = "Figs. 4 & 7";
-    fig.csv_name = "fig_capacity_vs_noise.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "capacity";
-        spec.base_seed = seedOr(opts, 1);
         std::vector<double> intensities;
         switch (scale) {
           case Scale::kSmoke:
@@ -291,9 +289,9 @@ capacityFigure()
                            60, 70, 80, 88, 95, 100};
             break;
         }
-        spec.axes = {{"channel", {0, 1}},
+        spec.axes = {channelAxis(),
                      {"intensity", std::move(intensities)},
-                     {"pattern", {0, 1, 2, 3}}};
+                     patternAxis()};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 20, 100);
         spec.columns = {"channel",  "intensity",
                         "pattern",  "raw_bit_rate",
@@ -301,10 +299,8 @@ capacityFigure()
                         "backoffs", "rfms"};
         spec.job = [bytes](const Job &job) -> JobRows {
             core::ChannelRunSpec run;
-            run.kind = job.param("channel") < 0.5 ? ChannelKind::kPrac
-                                                  : ChannelKind::kRfm;
-            run.pattern = static_cast<attack::MessagePattern>(
-                static_cast<int>(job.param("pattern")));
+            run.kind = asEnum<ChannelKind>(job.param("channel"));
+            run.pattern = asEnum<MessagePattern>(job.param("pattern"));
             run.message_bytes = bytes;
             run.seed = job.seed;
             // Eq. 2: sleep in [0.2 us, 2 us] maps to intensity
@@ -320,7 +316,7 @@ capacityFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         // Average the four patterns per (channel, intensity), as the
         // paper does (§6.3).
         const auto capacity = groupMean(result, {0, 1}, 5);
@@ -328,15 +324,18 @@ capacityFigure()
         core::Table table({"channel", "intensity (%)", "error prob",
                            "capacity (Kbps)"});
         for (const auto &[key, cap] : capacity)
-            table.addRow({key[0] < 0.5 ? "PRAC" : "RFM",
-                          core::fmt(key[1], 0),
+            table.addRow({channelName(key[0]), core::fmt(key[1], 0),
                           core::fmt(error.at(key), 3),
                           core::fmt(cap / 1000.0, 1)});
         return table.str() +
                "\npaper reference: PRAC 28.8 Kbps @1% noise, RFM 46.3 "
                "Kbps @1%; RFM degrades faster with noise.\n";
     };
-    return fig;
+    return makeFigure("capacity",
+                      "Covert-channel capacity vs noise intensity "
+                      "(PRAC and RFM channels)",
+                      "Figs. 4 & 7", "fig_capacity_vs_noise.csv", 1, sweep,
+                      summarize);
 }
 
 // ----------------------------------------------------- Figs. 5 and 8
@@ -344,32 +343,25 @@ capacityFigure()
 Figure
 appNoiseFigure()
 {
-    Figure fig;
-    fig.name = "appnoise";
-    fig.title = "Covert channels vs concurrent SPEC-like application "
-                "noise (PRAC and RFM)";
-    fig.paper_ref = "Figs. 5 & 8";
-    fig.csv_name = "fig_capacity_vs_appnoise.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "appnoise";
-        spec.base_seed = seedOr(opts, 1);
-        spec.axes = {{"channel", {0, 1}}, {"app_intensity", {0, 1, 2}}};
+        spec.axes = {channelAxis(),
+                     enumAxis<Intensity>("app_intensity",
+                                         {Intensity::kLow,
+                                          Intensity::kMedium,
+                                          Intensity::kHigh})};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 20, 100);
         spec.columns = {"channel", "app_intensity", "raw_bit_rate",
                         "error_probability", "capacity"};
         spec.job = [bytes](const Job &job) -> JobRows {
             core::ChannelRunSpec run;
-            run.kind = job.param("channel") < 0.5 ? ChannelKind::kPrac
-                                                  : ChannelKind::kRfm;
+            run.kind = asEnum<ChannelKind>(job.param("channel"));
             run.message_bytes = bytes;
             run.seed = job.seed;
             // One concurrent application per run (paper §6.3); the
             // first of the class is a stable, documented selection.
-            const auto level = static_cast<workload::Intensity>(
-                static_cast<int>(job.param("app_intensity")));
-            run.background = {workload::appsWithIntensity(level)[0]};
+            run.background = {workload::appsWithIntensity(
+                asEnum<Intensity>(job.param("app_intensity")))[0]};
             const auto sweep = core::runPatternSweep(run);
             return {{job.param("channel"), job.param("app_intensity"),
                      sweep.raw_bit_rate, sweep.error_probability,
@@ -377,21 +369,24 @@ appNoiseFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         core::Table table({"channel", "intensity", "error prob",
                            "capacity (Kbps)"});
         for (const auto &row : result.rows)
-            table.addRow({row[0] < 0.5 ? "PRAC" : "RFM",
+            table.addRow({channelName(row[0]),
                           workload::intensityName(
-                              static_cast<workload::Intensity>(
-                                  static_cast<int>(row[1]))),
+                              asEnum<Intensity>(row[1])),
                           core::fmt(row[3], 3),
                           core::fmt(row[4] / 1000.0, 1)});
         return table.str() +
                "\npaper reference: PRAC 36.0/32.2/31.2 Kbps and RFM "
                "48.1/44.4/43.6 Kbps for L/M/H application noise.\n";
     };
-    return fig;
+    return makeFigure("appnoise",
+                      "Covert channels vs concurrent SPEC-like "
+                      "application noise (PRAC and RFM)",
+                      "Figs. 5 & 8", "fig_capacity_vs_appnoise.csv", 1,
+                      sweep, summarize);
 }
 
 // --------------------------------------------------- §6.3 (multibit)
@@ -399,17 +394,8 @@ appNoiseFigure()
 Figure
 multibitFigure()
 {
-    Figure fig;
-    fig.name = "multibit";
-    fig.title = "Binary, ternary, and quaternary PRAC channel "
-                "encodings";
-    fig.paper_ref = "§6.3 (multibit)";
-    fig.csv_name = "tab_multibit_encodings.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "multibit";
-        spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"levels", {2, 3, 4}}};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 16, 32);
         spec.columns = {"levels", "bits_per_symbol", "raw_bit_rate",
@@ -421,7 +407,7 @@ multibitFigure()
                 static_cast<std::uint32_t>(job.param("levels"));
             run.message_bytes = bytes;
             // A random payload exercises all symbol values (§6.3).
-            run.pattern = attack::MessagePattern::kRandom;
+            run.pattern = MessagePattern::kRandom;
             run.seed = job.seed;
             const auto result = core::runChannel(run);
             return {{job.param("levels"),
@@ -431,7 +417,7 @@ multibitFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         const char *names[] = {"binary", "ternary", "quaternary"};
         core::Table table({"encoding", "bits/symbol", "raw (Kbps)",
                            "sym error", "capacity (Kbps)"});
@@ -446,7 +432,11 @@ multibitFigure()
                "higher rates trade off noise margin (errors 0.00 / "
                "0.04 / 0.29).\n";
     };
-    return fig;
+    return makeFigure("multibit",
+                      "Binary, ternary, and quaternary PRAC channel "
+                      "encodings",
+                      "§6.3 (multibit)", "tab_multibit_encodings.csv", 1,
+                      sweep, summarize);
 }
 
 // ----------------------------------------------------------- Fig. 11
@@ -454,16 +444,8 @@ multibitFigure()
 Figure
 rfmCountFigure()
 {
-    Figure fig;
-    fig.name = "rfm-count";
-    fig.title = "PRAC channel vs recovery RFMs per back-off";
-    fig.paper_ref = "Fig. 11";
-    fig.csv_name = "fig_rfm_count_sensitivity.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "rfm-count";
-        spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"rfms_per_backoff", {4, 2, 1}},
                      {"intensity",
                       byScale(scale, std::vector<double>{1, 100},
@@ -491,7 +473,7 @@ rfmCountFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         core::Table table({"RFMs/back-off", "intensity (%)",
                            "error prob", "capacity (Kbps)"});
         for (const auto &row : result.rows)
@@ -503,7 +485,10 @@ rfmCountFigure()
                "the lowest noise; 1-RFM worse everywhere (overlaps "
                "the refresh band).\n";
     };
-    return fig;
+    return makeFigure("rfm-count",
+                      "PRAC channel vs recovery RFMs per back-off",
+                      "Fig. 11", "fig_rfm_count_sensitivity.csv", 1, sweep,
+                      summarize);
 }
 
 // ----------------------------------------------------------- Fig. 12
@@ -511,16 +496,8 @@ rfmCountFigure()
 Figure
 actionLatencyFigure()
 {
-    Figure fig;
-    fig.name = "action-latency";
-    fig.title = "Channel capacity vs preventive-action latency";
-    fig.paper_ref = "Fig. 12";
-    fig.csv_name = "fig_capacity_vs_action_latency.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "action-latency";
-        spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"latency_ns",
                       byScale(scale, std::vector<double>{0, 96, 250},
                               std::vector<double>{0, 5, 10, 40, 96,
@@ -554,7 +531,7 @@ actionLatencyFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         core::Table table(
             {"latency (ns)", "error prob", "capacity (Kbps)"});
         for (const auto &row : result.rows)
@@ -566,7 +543,10 @@ actionLatencyFigure()
                "Latencies at or above them never eliminate the "
                "channel (paper Fig. 12).\n";
     };
-    return fig;
+    return makeFigure("action-latency",
+                      "Channel capacity vs preventive-action latency",
+                      "Fig. 12", "fig_capacity_vs_action_latency.csv", 1,
+                      sweep, summarize);
 }
 
 } // namespace

@@ -33,24 +33,20 @@ constexpr std::uint32_t kFingerprintWindows = 32;
 /** Shared shape of the collection sweeps: one job per (site, load),
  *  one row of {site, load, backoffs, features...} each. */
 SweepSpec
-collectionSpec(const char *name, std::uint32_t sites,
-               std::uint32_t loads, sim::Tick duration,
-               std::uint64_t base_seed, bool large_caches = false)
+collectionSpec(std::uint32_t sites, std::uint32_t loads,
+               sim::Tick duration, std::uint64_t base_seed)
 {
     SweepSpec spec;
-    spec.name = name;
-    spec.base_seed = base_seed;
     spec.axes = {{"site", iota(sites)}, {"load", iota(loads)}};
     spec.columns = {"site", "load", "backoffs"};
     for (std::uint32_t f = 0; f < kFingerprintWindows + 7; ++f)
         spec.columns.push_back("f" + std::to_string(f));
-    spec.job = [sites, loads, duration, base_seed,
-                large_caches](const Job &job) -> JobRows {
+    spec.job = [sites, loads, duration,
+                base_seed](const Job &job) -> JobRows {
         core::FingerprintSpec fp;
         fp.sites = sites;
         fp.loads_per_site = loads;
         fp.duration = duration;
-        fp.large_caches = large_caches;
         // The website trace is a function of (site, load, seed): keep
         // the base seed so loads are the paper's repeated page
         // visits, not fresh sites.
@@ -74,9 +70,8 @@ collectionSpec(const char *name, std::uint32_t sites,
 /** The Fig. 10 / Table 2 collection sizes: both classifier studies
  *  train on the same dataset shape at every scale. */
 SweepSpec
-classifierCollection(const char *name, const RunOptions &opts)
+classifierCollection(Scale scale, std::uint64_t seed)
 {
-    const Scale scale = scaleOf(opts);
     std::uint32_t sites = 12, loads = 12;
     sim::Tick duration = 2 * sim::kMs;
     if (scale == Scale::kSmoke) {
@@ -88,8 +83,7 @@ classifierCollection(const char *name, const RunOptions &opts)
         loads = 50;
         duration = 4 * sim::kMs;
     }
-    return collectionSpec(name, sites, loads, duration,
-                          seedOr(opts, 2025));
+    return collectionSpec(sites, loads, duration, seed);
 }
 
 /** Rebuild the ML dataset from merged collection rows. */
@@ -108,13 +102,7 @@ datasetFromRows(const SweepResult &result)
 Figure
 fingerprintFigure()
 {
-    Figure fig;
-    fig.name = "fingerprint";
-    fig.title = "Website fingerprinting via PRAC back-off traces";
-    fig.paper_ref = "Figs. 9 & 10, Table 2";
-    fig.csv_name = "fig_website_fingerprint.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t seed) {
         std::uint32_t sites = 8, loads = 10;
         sim::Tick duration = 2 * sim::kMs;
         if (scale == Scale::kSmoke) {
@@ -125,10 +113,9 @@ fingerprintFigure()
             loads = 50;
             duration = 4 * sim::kMs;
         }
-        return collectionSpec("fingerprint", sites, loads, duration,
-                              seedOr(opts, 2025));
+        return collectionSpec(sites, loads, duration, seed);
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         // Rebuild the dataset from the merged rows and train the
         // paper's classifier on held-out loads (Fig. 10).
         const auto data = datasetFromRows(result);
@@ -144,7 +131,10 @@ fingerprintFigure()
                "\npaper reference: ~90% accuracy over 40 sites at "
                "NRH = 64 (Fig. 10).\n";
     };
-    return fig;
+    return makeFigure("fingerprint",
+                      "Website fingerprinting via PRAC back-off traces",
+                      "Figs. 9 & 10, Table 2", "fig_website_fingerprint.csv",
+                      2025, sweep, summarize);
 }
 
 // ------------------------------------------------------------ Fig. 9
@@ -152,26 +142,17 @@ fingerprintFigure()
 Figure
 stripsFigure()
 {
-    Figure fig;
-    fig.name = "strips";
-    fig.title = "Back-off strips of repeated website loads "
-                "(wikipedia / reddit / youtube)";
-    fig.paper_ref = "Fig. 9";
-    fig.csv_name = "fig_fingerprint_strips.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
-        SweepSpec spec;
+    auto sweep = [](Scale scale, std::uint64_t seed) {
         // Site indices of wikipedia (34), reddit (24), youtube (38).
-        spec = collectionSpec(
-            "strips", 40, 2,
-            scale == Scale::kFull ? 4 * sim::kMs : 2 * sim::kMs,
-            seedOr(opts, 2025));
+        SweepSpec spec = collectionSpec(
+            40, 2, scale == Scale::kFull ? 4 * sim::kMs : 2 * sim::kMs,
+            seed);
         spec.axes[0].values = scale == Scale::kSmoke
                                   ? std::vector<double>{34, 24}
                                   : std::vector<double>{34, 24, 38};
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         std::string out;
         for (const auto &row : result.rows) {
             // The first 24 windowed features are the strip cells.
@@ -188,7 +169,11 @@ stripsFigure()
                "back-offs. Loads of one site match; sites differ; "
                "early windows look alike (browser startup).\n";
     };
-    return fig;
+    return makeFigure("strips",
+                      "Back-off strips of repeated website loads "
+                      "(wikipedia / reddit / youtube)",
+                      "Fig. 9", "fig_fingerprint_strips.csv", 2025, sweep,
+                      summarize);
 }
 
 // ----------------------------------------------------------- Fig. 10
@@ -196,16 +181,7 @@ stripsFigure()
 Figure
 classifiersFigure()
 {
-    Figure fig;
-    fig.name = "classifiers";
-    fig.title = "Accuracy of the eight classical ML models on "
-                "website fingerprints";
-    fig.paper_ref = "Fig. 10";
-    fig.csv_name = "fig_classifier_accuracy.csv";
-    fig.make = [](const RunOptions &opts) {
-        return classifierCollection("classifiers", opts);
-    };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         const auto data = datasetFromRows(result);
         const auto split = ml::stratifiedSplit(data, 0.25, 77);
         core::Table table({"model", "test accuracy"});
@@ -220,7 +196,11 @@ classifiersFigure()
                "0.30, SVM 0.11, LR 0.08, Ada 0.08, Perc 0.06 "
                "(chance 0.025).\n";
     };
-    return fig;
+    return makeFigure("classifiers",
+                      "Accuracy of the eight classical ML models on "
+                      "website fingerprints",
+                      "Fig. 10", "fig_classifier_accuracy.csv", 2025,
+                      classifierCollection, summarize);
 }
 
 // ----------------------------------------------------------- Table 2
@@ -228,16 +208,7 @@ classifiersFigure()
 Figure
 fingerprintCvFigure()
 {
-    Figure fig;
-    fig.name = "fingerprint-cv";
-    fig.title = "k-fold cross-validation of the decision-tree "
-                "fingerprint classifier";
-    fig.paper_ref = "Table 2";
-    fig.csv_name = "tab_fingerprint_cv.csv";
-    fig.make = [](const RunOptions &opts) {
-        return classifierCollection("fingerprint-cv", opts);
-    };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         const auto data = datasetFromRows(result);
         // Fold count follows the collection size: the paper's 10-fold
         // needs 50 loads per site; smaller scales keep folds <= loads.
@@ -266,7 +237,11 @@ fingerprintCvFigure()
                "\npaper reference (10-fold): F1 71.8 (4.2), precision "
                "74.1 (4.4), recall 72.4 (4.2).\n";
     };
-    return fig;
+    return makeFigure("fingerprint-cv",
+                      "k-fold cross-validation of the decision-tree "
+                      "fingerprint classifier",
+                      "Table 2", "tab_fingerprint_cv.csv", 2025,
+                      classifierCollection, summarize);
 }
 
 // ------------------------------------------------------------- §10.3
@@ -274,17 +249,8 @@ fingerprintCvFigure()
 Figure
 cachePrefetchFigure()
 {
-    Figure fig;
-    fig.name = "cache-prefetch";
-    fig.title = "Sensitivity to larger caches and Best-Offset "
-                "prefetching";
-    fig.paper_ref = "§10.3";
-    fig.csv_name = "tab_cache_prefetch.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t seed) {
         SweepSpec spec;
-        spec.name = "cache-prefetch";
-        spec.base_seed = seedOr(opts, 1);
         // Scenarios: 0 = PRAC channel, 1 = RFM channel,
         // 2 = fingerprint accuracy (default/full only — the whole
         // collection runs inside one job).
@@ -296,17 +262,16 @@ cachePrefetchFigure()
         const std::uint32_t fp_sites = scale == Scale::kFull ? 40 : 6;
         const std::uint32_t fp_loads = scale == Scale::kFull ? 50 : 6;
         const sim::Tick fp_duration = 2 * sim::kMs;
-        const std::uint64_t base_seed = spec.base_seed;
         spec.columns = {"scenario", "large_caches", "error", "value"};
         spec.job = [bytes, fp_sites, fp_loads, fp_duration,
-                    base_seed](const Job &job) -> JobRows {
+                    seed](const Job &job) -> JobRows {
             const bool large = job.param("large_caches") > 0.5;
             const auto scenario =
                 static_cast<int>(job.param("scenario"));
             if (scenario < 2) {
                 core::ChannelRunSpec run;
-                run.kind = scenario == 0 ? ChannelKind::kPrac
-                                         : ChannelKind::kRfm;
+                // Scenarios 0 and 1 are the channels' CSV encodings.
+                run.kind = asEnum<ChannelKind>(scenario);
                 run.message_bytes = bytes;
                 run.large_caches = large;
                 run.seed = job.seed;
@@ -325,7 +290,7 @@ cachePrefetchFigure()
             fp.large_caches = large;
             // Website traces are a function of (site, load, seed):
             // the base seed keeps the base/large datasets paired.
-            fp.seed = base_seed;
+            fp.seed = seed;
             const auto data = core::fingerprintDataset(
                 core::collectFingerprints(fp));
             const auto split = ml::stratifiedSplit(data, 0.25, 77);
@@ -337,7 +302,7 @@ cachePrefetchFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         const char *names[] = {"PRAC channel (Kbps)",
                                "RFM channel (Kbps)",
                                "fingerprint accuracy"};
@@ -369,7 +334,11 @@ cachePrefetchFigure()
                "(-2.1%), accuracy 71.8% (-4.2%) — larger caches and "
                "prefetching do NOT prevent LeakyHammer.\n";
     };
-    return fig;
+    return makeFigure("cache-prefetch",
+                      "Sensitivity to larger caches and Best-Offset "
+                      "prefetching",
+                      "§10.3", "tab_cache_prefetch.csv", 1, sweep,
+                      summarize);
 }
 
 } // namespace

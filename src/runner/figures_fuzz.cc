@@ -1,6 +1,6 @@
 /**
  * @file
- * Pattern-fuzzer figure family (ROADMAP item 1): the fuzzer turns the
+ * Pattern-fuzzer figure family: the Blacksmith-style fuzzer turns the
  * frequency/phase/amplitude pattern space into registry figures.
  *
  *  - `fuzz-search`: one evolutionary campaign per defense, one CSV row
@@ -49,44 +49,39 @@ campaignAt(Scale scale, DefenseKind kind, std::uint64_t stream_seed,
     return cfg;
 }
 
-std::vector<double>
-fuzzDefenseAxis(Scale scale)
+Axis
+defenseAxis(Scale scale)
 {
-    std::vector<double> values;
-    if (scale == Scale::kSmoke) {
-        // The PRAC family's back-off channel plus both trackers — the
-        // cells the acceptance pins (discovered beats baseline).
-        for (DefenseKind kind : {DefenseKind::kPrac, DefenseKind::kGraphene,
-                                 DefenseKind::kHydra})
-            values.push_back(static_cast<double>(kind));
-    } else {
-        for (DefenseKind kind : fuzz::campaignDefenses())
-            values.push_back(static_cast<double>(kind));
-    }
-    return values;
+    // Smoke: the PRAC family's back-off channel plus both trackers —
+    // the cells the acceptance pins (discovered beats baseline).
+    return enumAxis("defense",
+                    scale == Scale::kSmoke
+                        ? std::vector<DefenseKind>{DefenseKind::kPrac,
+                                                   DefenseKind::kGraphene,
+                                                   DefenseKind::kHydra}
+                        : fuzz::campaignDefenses());
 }
 
-} // namespace
+/** The fuzz-search entry's name and default seed, shared by the
+ *  figure and `leakyhammer fuzz`. */
+constexpr char kSearchName[] = "fuzz-search";
+constexpr std::uint64_t kSearchSeed = 1;
 
+/** See fuzzSearchSpec; @p base_seed is already resolved. */
 SweepSpec
-fuzzSearchSpec(const RunOptions &opts,
-               std::vector<fuzz::CampaignResult> *capture)
+searchSweep(Scale scale, std::uint64_t base_seed,
+            std::vector<fuzz::CampaignResult> *capture)
 {
-    const Scale scale = scaleOf(opts);
     SweepSpec spec;
-    spec.name = "fuzz-search";
-    spec.base_seed = seedOr(opts, 1);
-    spec.axes = {{"defense", fuzzDefenseAxis(scale)}};
+    spec.axes = {defenseAxis(scale)};
     spec.columns = {"defense",       "generation",  "best_score",
                     "best_capacity", "best_error",  "best_actions",
                     "mean_score"};
     if (capture) {
         capture->assign(jobCount(spec), fuzz::CampaignResult{});
     }
-    const std::uint64_t base_seed = spec.base_seed;
     spec.job = [scale, capture, base_seed](const Job &job) -> JobRows {
-        const auto kind = static_cast<DefenseKind>(
-            static_cast<int>(job.param("defense")));
+        const auto kind = asEnum<DefenseKind>(job.param("defense"));
         const fuzz::CampaignResult result = fuzz::runCampaign(
             campaignAt(scale, kind, job.seed, base_seed));
         JobRows rows;
@@ -106,29 +101,33 @@ fuzzSearchSpec(const RunOptions &opts,
     return spec;
 }
 
+} // namespace
+
+SweepSpec
+fuzzSearchSpec(const RunOptions &opts,
+               std::vector<fuzz::CampaignResult> *capture)
+{
+    return resolveSweep(opts, kSearchName, kSearchSeed,
+                        [capture](Scale scale, std::uint64_t seed) {
+                            return searchSweep(scale, seed, capture);
+                        });
+}
+
 namespace {
 
 Figure
 fuzzSearchFigure()
 {
-    Figure fig;
-    fig.name = "fuzz-search";
-    fig.title = "Fuzzer search progress: best pattern score per "
-                "generation and defense";
-    fig.paper_ref = "§6-§7, §13 (pattern-space search beyond the "
-                    "hand-written senders)";
-    fig.csv_name = "fig_fuzz_search.csv";
-    fig.make = [](const RunOptions &opts) {
-        return fuzzSearchSpec(opts, nullptr);
+    auto sweep = [](Scale scale, std::uint64_t seed) {
+        return searchSweep(scale, seed, nullptr);
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         core::Table table({"defense", "generation", "best score",
                            "best capacity (Kbps)", "best error",
                            "mean score"});
         for (const auto &row : result.rows) {
-            const auto kind =
-                static_cast<DefenseKind>(static_cast<int>(row[0]));
-            table.addRow({defense::defenseName(kind), core::fmt(row[1], 0),
+            table.addRow({defense::defenseName(asEnum<DefenseKind>(row[0])),
+                          core::fmt(row[1], 0),
                           core::fmt(row[2] / 1000.0, 1),
                           core::fmt(row[3] / 1000.0, 1),
                           core::fmt(row[4], 3),
@@ -141,39 +140,33 @@ fuzzSearchFigure()
                "channel is a property of the pattern SPACE, not of one "
                "crafted attack.\n";
     };
-    return fig;
+    return makeFigure(kSearchName,
+                      "Fuzzer search progress: best pattern score per "
+                      "generation and defense",
+                      "§6-§7, §13 (pattern-space search beyond the "
+                      "hand-written senders)",
+                      "fig_fuzz_search.csv", kSearchSeed, sweep, summarize);
 }
 
 Figure
 fuzzReplayFigure()
 {
-    Figure fig;
-    fig.name = "fuzz-replay";
-    fig.title = "Replayed patterns vs defenses: discovered patterns "
-                "against hand-written baselines";
-    fig.paper_ref = "§6-§7, §13 (replayable evidence)";
-    fig.csv_name = "fig_fuzz_replay.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t base_seed) {
         SweepSpec spec;
-        spec.name = "fuzz-replay";
-        spec.base_seed = seedOr(opts, 1);
         spec.axes = {
             {"pattern",
              iota(static_cast<std::uint32_t>(fuzz::replayCatalogue()
                                                  .size()))},
-            {"defense", fuzzDefenseAxis(scale)}};
+            defenseAxis(scale)};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 8, 20);
         spec.columns = {"pattern",  "defense", "discovered",
                         "capacity", "error_probability", "score",
                         "actions",  "leakage"};
-        const std::uint64_t base_seed = spec.base_seed;
         spec.job = [bytes, base_seed](const Job &job) -> JobRows {
             const auto &entry = fuzz::replayCatalogue().at(
                 static_cast<std::size_t>(job.param("pattern")));
             fuzz::EvalSpec eval;
-            eval.defense = static_cast<DefenseKind>(
-                static_cast<int>(job.param("defense")));
+            eval.defense = asEnum<DefenseKind>(job.param("defense"));
             eval.message_bytes = bytes;
             // Same per-defense seed as the search campaigns
             // (evalSeedFor), so discovered scores transfer exactly.
@@ -187,17 +180,15 @@ fuzzReplayFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         core::Table table({"pattern", "origin", "defense", "error prob",
                            "capacity (Kbps)", "actions"});
         for (const auto &row : result.rows) {
             const auto &entry = fuzz::replayCatalogue().at(
                 static_cast<std::size_t>(row[0]));
-            const auto kind =
-                static_cast<DefenseKind>(static_cast<int>(row[1]));
             table.addRow({entry.name,
                           entry.discovered ? "fuzzer" : "hand-written",
-                          defense::defenseName(kind),
+                          defense::defenseName(asEnum<DefenseKind>(row[1])),
                           core::fmt(row[4], 3),
                           core::fmt(row[3] / 1000.0, 1),
                           core::fmt(row[6], 0)});
@@ -207,7 +198,11 @@ fuzzReplayFigure()
                "the pinned fuzzer discoveries replay here against the "
                "same cells as the hand-written baselines they beat.\n";
     };
-    return fig;
+    return makeFigure("fuzz-replay",
+                      "Replayed patterns vs defenses: discovered patterns "
+                      "against hand-written baselines",
+                      "§6-§7, §13 (replayable evidence)",
+                      "fig_fuzz_replay.csv", 1, sweep, summarize);
 }
 
 } // namespace

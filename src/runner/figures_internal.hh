@@ -2,15 +2,19 @@
  * @file
  * Shared machinery of the per-family figure files. The registry in
  * figures.cc concatenates the family factories declared here; the
- * helpers keep scale handling and row aggregation identical across
- * families. Internal to src/runner — not part of the public interface.
+ * helpers keep scale handling, axis encoding and row aggregation
+ * identical across families. Internal to src/runner — not part of the
+ * public interface.
  */
 
 #ifndef LEAKY_RUNNER_FIGURES_INTERNAL_HH
 #define LEAKY_RUNNER_FIGURES_INTERNAL_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fuzz/campaign.hh"
@@ -21,9 +25,47 @@ namespace leaky::runner {
 /** Sweep size requested on the CLI (never changes the physics). */
 enum class Scale { kSmoke, kDefault, kFull };
 
-Scale scaleOf(const RunOptions &opts);
+/** A figure's sweep at a resolved scale and base seed. Builders leave
+ *  `spec.name` and `spec.base_seed` to resolveSweep. */
+using SpecBuilder = std::function<SweepSpec(Scale, std::uint64_t seed)>;
 
-std::uint64_t seedOr(const RunOptions &opts, std::uint64_t fallback);
+/**
+ * The one RunOptions -> sweep rule: --full wins over --smoke, seed 0
+ * means @p default_seed, and the built spec is stamped with @p name
+ * and the resolved seed.
+ */
+SweepSpec resolveSweep(const RunOptions &opts, const std::string &name,
+                       std::uint64_t default_seed,
+                       const SpecBuilder &build);
+
+/** A registry entry, its metadata given once; `make` is resolveSweep
+ *  over @p build. */
+Figure makeFigure(std::string name, std::string title,
+                  std::string paper_ref, std::string csv_name,
+                  std::uint64_t default_seed, SpecBuilder build,
+                  std::function<std::string(const SweepResult &)>
+                      summarize);
+
+/** An axis over enum values, each encoded as its underlying integer
+ *  (the CSV encoding of every categorical column). */
+template <typename Enum>
+Axis
+enumAxis(std::string name, const std::vector<Enum> &values)
+{
+    Axis axis{std::move(name), {}};
+    for (Enum value : values)
+        axis.values.push_back(static_cast<double>(value));
+    return axis;
+}
+
+/** The enum an enumAxis value encodes: a `job.param(...)` or a CSV
+ *  cell. */
+template <typename Enum>
+Enum
+asEnum(double value)
+{
+    return static_cast<Enum>(static_cast<int>(value));
+}
 
 /** {0, 1, ..., count - 1} as axis values. */
 std::vector<double> iota(std::uint32_t count);

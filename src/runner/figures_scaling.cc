@@ -26,6 +26,7 @@
 #include "runner/figures_internal.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "core/experiments.hh"
@@ -36,6 +37,7 @@ namespace leaky::runner {
 
 namespace {
 
+using attack::MessagePattern;
 using dram::MappingPreset;
 
 // ------------------------------------------ cross-channel isolation
@@ -43,17 +45,8 @@ using dram::MappingPreset;
 Figure
 crossChannelFigure()
 {
-    Figure fig;
-    fig.name = "cross-channel";
-    fig.title = "Cross-channel isolation of the PRAC covert channel "
-                "(per-channel defense instances)";
-    fig.paper_ref = "§5.2 / §6 (negative control)";
-    fig.csv_name = "fig_cross_channel_isolation.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "cross-channel";
-        spec.base_seed = seedOr(opts, 1);
         spec.axes = {
             {"channels",
              byScale(scale, std::vector<double>{2},
@@ -64,10 +57,13 @@ crossChannelFigure()
             // deterministically inverted) output, so the all-ones /
             // all-zeros patterns cannot falsify a dead channel —
             // alternating bits are the discriminative probe here.
-            {"pattern",
-             byScale(scale, std::vector<double>{2},
-                     std::vector<double>{2, 3},
-                     std::vector<double>{2, 3})}};
+            enumAxis("pattern",
+                     scale == Scale::kSmoke
+                         ? std::vector<MessagePattern>{
+                               MessagePattern::kCheckered0}
+                         : std::vector<MessagePattern>{
+                               MessagePattern::kCheckered0,
+                               MessagePattern::kCheckered1})};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 20, 100);
         spec.columns = {"channels",   "placement",
                         "pattern",    "raw_bit_rate",
@@ -82,8 +78,7 @@ crossChannelFigure()
             run.channels =
                 static_cast<std::uint32_t>(job.param("channels"));
             run.receiver_channel = job.param("placement") > 0.5 ? 1 : 0;
-            run.pattern = static_cast<attack::MessagePattern>(
-                static_cast<int>(job.param("pattern")));
+            run.pattern = asEnum<MessagePattern>(job.param("pattern"));
             run.message_bytes = bytes;
             run.seed = job.seed;
             sys::System system(core::channelSystemConfig(run));
@@ -102,7 +97,7 @@ crossChannelFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         const auto capacity = groupMean(result, {0, 1}, 5);
         const auto error = groupMean(result, {0, 1}, 4);
         const auto rx = groupMean(result, {0, 1}, 7);
@@ -123,7 +118,12 @@ crossChannelFigure()
                "~0 -- defenses are per-channel, so the channel never "
                "crosses them.\n";
     };
-    return fig;
+    return makeFigure("cross-channel",
+                      "Cross-channel isolation of the PRAC covert channel "
+                      "(per-channel defense instances)",
+                      "§5.2 / §6 (negative control)",
+                      "fig_cross_channel_isolation.csv", 1, sweep,
+                      summarize);
 }
 
 // -------------------------------------- aggregate capacity scaling
@@ -131,22 +131,22 @@ crossChannelFigure()
 Figure
 channelScalingFigure()
 {
-    Figure fig;
-    fig.name = "channel-scaling";
-    fig.title = "Aggregate covert capacity vs memory-channel count "
-                "(one pair per channel)";
-    fig.paper_ref = "§5.2 / §6 (scaling)";
-    fig.csv_name = "fig_channel_scaling.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "channel-scaling";
-        spec.base_seed = seedOr(opts, 1);
-        spec.axes = {{"channels", {1, 2, 4}},
-                     {"pattern",
-                      byScale(scale, std::vector<double>{2},
-                              std::vector<double>{0, 2},
-                              std::vector<double>{0, 1, 2, 3})}};
+        spec.axes = {
+            {"channels", {1, 2, 4}},
+            enumAxis("pattern",
+                     byScale(scale,
+                             std::vector<MessagePattern>{
+                                 MessagePattern::kCheckered0},
+                             std::vector<MessagePattern>{
+                                 MessagePattern::kAllOnes,
+                                 MessagePattern::kCheckered0},
+                             std::vector<MessagePattern>{
+                                 MessagePattern::kAllOnes,
+                                 MessagePattern::kAllZeros,
+                                 MessagePattern::kCheckered0,
+                                 MessagePattern::kCheckered1}))};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 20, 50);
         spec.columns = {"channels",       "pattern",
                         "aggregate_raw_bit_rate", "mean_error",
@@ -156,8 +156,7 @@ channelScalingFigure()
             core::MultiChannelSpec cell;
             cell.channels =
                 static_cast<std::uint32_t>(job.param("channels"));
-            cell.pattern = static_cast<attack::MessagePattern>(
-                static_cast<int>(job.param("pattern")));
+            cell.pattern = asEnum<MessagePattern>(job.param("pattern"));
             cell.message_bytes = bytes;
             cell.seed = job.seed;
             const auto result = core::runMultiChannelAggregate(cell);
@@ -174,7 +173,7 @@ channelScalingFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         const auto capacity = groupMean(result, {0}, 4);
         const auto error = groupMean(result, {0}, 3);
         // True worst-channel capacity per channel count: the minimum
@@ -202,7 +201,11 @@ channelScalingFigure()
                "count: defense instances are per-channel, so "
                "concurrent pairs never contend for counter state.\n";
     };
-    return fig;
+    return makeFigure("channel-scaling",
+                      "Aggregate covert capacity vs memory-channel count "
+                      "(one pair per channel)",
+                      "§5.2 / §6 (scaling)", "fig_channel_scaling.csv", 1,
+                      sweep, summarize);
 }
 
 // ------------------------------------- mapping-order sensitivity
@@ -210,26 +213,20 @@ channelScalingFigure()
 Figure
 mappingOrderFigure()
 {
-    Figure fig;
-    fig.name = "mapping-order";
-    fig.title = "PRAC covert channel vs the attacker's assumed "
-                "physical-to-DRAM mapping";
-    fig.paper_ref = "§5.2 (mapping diversity)";
-    fig.csv_name = "fig_mapping_order.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "mapping-order";
-        spec.base_seed = seedOr(opts, 1);
-        spec.axes = {{"actual", {0, 1, 2}}, {"assumed", {0, 1, 2}}};
+        const std::vector<MappingPreset> presets(
+            std::begin(dram::kAllMappingPresets),
+            std::end(dram::kAllMappingPresets));
+        spec.axes = {enumAxis("actual", presets),
+                     enumAxis("assumed", presets)};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 16, 50);
         spec.columns = {"actual", "assumed", "match", "raw_bit_rate",
                         "error_probability", "capacity", "backoffs"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            const auto actual = static_cast<MappingPreset>(
-                static_cast<int>(job.param("actual")));
-            const auto assumed = static_cast<MappingPreset>(
-                static_cast<int>(job.param("assumed")));
+            const auto actual = asEnum<MappingPreset>(job.param("actual"));
+            const auto assumed =
+                asEnum<MappingPreset>(job.param("assumed"));
             core::ChannelRunSpec run;
             run.mapping = actual;
             run.assumed_mapping = assumed;
@@ -244,14 +241,12 @@ mappingOrderFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         core::Table table({"actual", "assumed", "error prob",
                            "capacity (Kbps)", "back-offs"});
         for (const auto &row : result.rows)
-            table.addRow({dram::presetName(static_cast<MappingPreset>(
-                              static_cast<int>(row[0]))),
-                          dram::presetName(static_cast<MappingPreset>(
-                              static_cast<int>(row[1]))),
+            table.addRow({dram::presetName(asEnum<MappingPreset>(row[0])),
+                          dram::presetName(asEnum<MappingPreset>(row[1])),
                           core::fmt(row[4], 3),
                           core::fmt(row[5] / 1000.0, 1),
                           core::fmt(row[6], 0)});
@@ -266,7 +261,11 @@ mappingOrderFigure()
                "pair across banks -- mapping diversity alone is a weak "
                "mitigation against the §5.2 attacker.\n";
     };
-    return fig;
+    return makeFigure("mapping-order",
+                      "PRAC covert channel vs the attacker's assumed "
+                      "physical-to-DRAM mapping",
+                      "§5.2 (mapping diversity)", "fig_mapping_order.csv", 1,
+                      sweep, summarize);
 }
 
 // ------------------------------------- online mapping recovery
@@ -274,17 +273,8 @@ mappingOrderFigure()
 Figure
 mappingRecoveryFigure()
 {
-    Figure fig;
-    fig.name = "mapping-recovery";
-    fig.title = "Online DARE-style mapping recovery: probes to learn "
-                "the bank/row XOR functions vs mapping complexity";
-    fig.paper_ref = "§5.2 (mapping reverse engineering)";
-    fig.csv_name = "fig_mapping_recovery.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "mapping-recovery";
-        spec.base_seed = seedOr(opts, 1);
         // Mapping axis: index into core::recoveryMappings() — the 3
         // presets (complexity 0) plus the folded-bit XOR variants.
         // Defense axis: index into the kinds list below, NOT the
@@ -325,7 +315,7 @@ mappingRecoveryFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         const auto mappings = core::recoveryMappings();
         const auto probes = groupMean(result, {0, 1}, 3);
         const auto bank_ok = groupMean(result, {0, 1}, 7);
@@ -345,9 +335,13 @@ mappingRecoveryFigure()
                "bank masks defeats each difference window in turn, so "
                "probes-to-recovery grows with mapping complexity -- "
                "XOR mappings raise the attack's cost but, like "
-               "mapping diversity, do not stop the SS5.2 attacker.\n";
+               "mapping diversity, do not stop the §5.2 attacker.\n";
     };
-    return fig;
+    return makeFigure("mapping-recovery",
+                      "Online DARE-style mapping recovery: probes to learn "
+                      "the bank/row XOR functions vs mapping complexity",
+                      "§5.2 (mapping reverse engineering)",
+                      "fig_mapping_recovery.csv", 1, sweep, summarize);
 }
 
 } // namespace

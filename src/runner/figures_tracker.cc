@@ -34,31 +34,18 @@ using defense::DefenseKind;
 Figure
 crossDefenseFigure()
 {
-    Figure fig;
-    fig.name = "cross-defense";
-    fig.title = "Covert-channel capacity across the alert/RFM and "
-                "tracker defense families";
-    fig.paper_ref = "§13 (generalisation of §6-§7)";
-    fig.csv_name = "fig_cross_defense_capacity.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "cross-defense";
-        spec.base_seed = seedOr(opts, 1);
-        std::vector<double> defenses;
-        if (scale == Scale::kSmoke) {
-            defenses = {static_cast<double>(DefenseKind::kPrac),
-                        static_cast<double>(DefenseKind::kGraphene),
-                        static_cast<double>(DefenseKind::kHydra)};
-        } else {
-            defenses = {static_cast<double>(DefenseKind::kPrac),
-                        static_cast<double>(DefenseKind::kPrfm),
-                        static_cast<double>(DefenseKind::kGraphene),
-                        static_cast<double>(DefenseKind::kHydra),
-                        static_cast<double>(DefenseKind::kFrRfm)};
-        }
         spec.axes = {
-            {"defense", std::move(defenses)},
+            enumAxis("defense",
+                     scale == Scale::kSmoke
+                         ? std::vector<DefenseKind>{DefenseKind::kPrac,
+                                                    DefenseKind::kGraphene,
+                                                    DefenseKind::kHydra}
+                         : std::vector<DefenseKind>{
+                               DefenseKind::kPrac, DefenseKind::kPrfm,
+                               DefenseKind::kGraphene, DefenseKind::kHydra,
+                               DefenseKind::kFrRfm}),
             {"intensity",
              byScale(scale, std::vector<double>{1, 100},
                      std::vector<double>{1, 50, 100},
@@ -70,8 +57,7 @@ crossDefenseFigure()
                         "rfms",      "targeted_refreshes",
                         "counter_fetches"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            const auto kind = static_cast<DefenseKind>(
-                static_cast<int>(job.param("defense")));
+            const auto kind = asEnum<DefenseKind>(job.param("defense"));
             core::ChannelRunSpec run;
             run.kind = core::channelKindFor(kind);
             run.defense = core::crossDefenseSystemConfig(kind).defense;
@@ -90,14 +76,12 @@ crossDefenseFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         core::Table table({"defense", "intensity (%)", "error prob",
                            "capacity (Kbps)", "observable actions"});
         for (const auto &row : result.rows) {
-            const auto kind = static_cast<DefenseKind>(
-                static_cast<int>(row[0]));
             const double actions = row[5] + row[6] + row[7];
-            table.addRow({defense::defenseName(kind),
+            table.addRow({defense::defenseName(asEnum<DefenseKind>(row[0])),
                           core::fmt(row[1], 0), core::fmt(row[3], 3),
                           core::fmt(row[4] / 1000.0, 1),
                           core::fmt(actions, 0)});
@@ -108,7 +92,11 @@ crossDefenseFigure()
                "a usable channel; only the time-triggered FR-RFM grid "
                "does not -- the paper's §13 claim, generalised.\n";
     };
-    return fig;
+    return makeFigure("cross-defense",
+                      "Covert-channel capacity across the alert/RFM and "
+                      "tracker defense families",
+                      "§13 (generalisation of §6-§7)",
+                      "fig_cross_defense_capacity.csv", 1, sweep, summarize);
 }
 
 // ------------------------------------------ tracker threshold sweep
@@ -116,21 +104,11 @@ crossDefenseFigure()
 Figure
 trackerThresholdFigure()
 {
-    Figure fig;
-    fig.name = "tracker-threshold";
-    fig.title = "Tracker covert channel vs targeted-refresh threshold "
-                "(Graphene and Hydra)";
-    fig.paper_ref = "§13 (Fig. 11 analogue)";
-    fig.csv_name = "fig_tracker_threshold.csv";
-    fig.make = [](const RunOptions &opts) {
-        const Scale scale = scaleOf(opts);
+    auto sweep = [](Scale scale, std::uint64_t) {
         SweepSpec spec;
-        spec.name = "tracker-threshold";
-        spec.base_seed = seedOr(opts, 1);
         spec.axes = {
-            {"tracker",
-             {static_cast<double>(DefenseKind::kGraphene),
-              static_cast<double>(DefenseKind::kHydra)}},
+            enumAxis<DefenseKind>(
+                "tracker", {DefenseKind::kGraphene, DefenseKind::kHydra}),
             {"threshold",
              byScale(scale, std::vector<double>{80, 512},
                      std::vector<double>{16, 48, 80, 160, 512},
@@ -141,8 +119,7 @@ trackerThresholdFigure()
                         "capacity", "targeted_refreshes",
                         "counter_fetches"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            const auto kind = static_cast<DefenseKind>(
-                static_cast<int>(job.param("tracker")));
+            const auto kind = asEnum<DefenseKind>(job.param("tracker"));
             core::ChannelRunSpec run;
             run.kind = core::channelKindFor(kind);
             run.defense = core::crossDefenseSystemConfig(kind).defense;
@@ -158,13 +135,11 @@ trackerThresholdFigure()
         };
         return spec;
     };
-    fig.summarize = [](const SweepResult &result) {
+    auto summarize = [](const SweepResult &result) {
         core::Table table({"tracker", "threshold", "error prob",
                            "capacity (Kbps)", "VRRs", "CC fetches"});
         for (const auto &row : result.rows) {
-            const auto kind = static_cast<DefenseKind>(
-                static_cast<int>(row[0]));
-            table.addRow({defense::defenseName(kind),
+            table.addRow({defense::defenseName(asEnum<DefenseKind>(row[0])),
                           core::fmt(row[1], 0), core::fmt(row[2], 3),
                           core::fmt(row[3] / 1000.0, 1),
                           core::fmt(row[4], 0), core::fmt(row[5], 0)});
@@ -176,7 +151,11 @@ trackerThresholdFigure()
                "collapses -- raising the threshold trades RowHammer "
                "safety margin for covert-channel hygiene.\n";
     };
-    return fig;
+    return makeFigure("tracker-threshold",
+                      "Tracker covert channel vs targeted-refresh threshold "
+                      "(Graphene and Hydra)",
+                      "§13 (Fig. 11 analogue)", "fig_tracker_threshold.csv",
+                      1, sweep, summarize);
 }
 
 } // namespace

@@ -58,7 +58,7 @@ TEST(CovertChannel, RawBitRatesMatchWindowSizes)
     const auto bits = attack::patternBits(
         attack::MessagePattern::kCheckered0, 16);
     const auto result = attack::runCovertChannel(
-        prac_sys, prac_cfg, binarySymbols(bits));
+        prac_sys, {prac_cfg}, binarySymbols(bits))[0];
     EXPECT_NEAR(result.raw_bit_rate, 40'000.0, 100.0); // 25 us windows.
 }
 
@@ -68,9 +68,9 @@ TEST(CovertChannel, SenderIdleMeansNoBackoffs)
     const auto cfg =
         attack::makeChannelConfig(system, ChannelKind::kPrac);
     const auto result = attack::runCovertChannel(
-        system, cfg,
+        system, {cfg},
         binarySymbols(attack::patternBits(
-            attack::MessagePattern::kAllZeros, 24)));
+            attack::MessagePattern::kAllZeros, 24)))[0];
     EXPECT_EQ(result.symbol_error, 0.0);
     EXPECT_EQ(result.backoffs, 0u); // Ground truth: none triggered.
 }
@@ -81,9 +81,9 @@ TEST(CovertChannel, AllOnesTriggersOneBackoffPerWindow)
     const auto cfg =
         attack::makeChannelConfig(system, ChannelKind::kPrac);
     const auto result = attack::runCovertChannel(
-        system, cfg,
+        system, {cfg},
         binarySymbols(attack::patternBits(
-            attack::MessagePattern::kAllOnes, 24)));
+            attack::MessagePattern::kAllOnes, 24)))[0];
     EXPECT_EQ(result.symbol_error, 0.0);
     EXPECT_NEAR(static_cast<double>(result.backoffs), 24.0, 2.0);
 }
@@ -104,9 +104,9 @@ TEST(CovertChannel, CrossBankReceiverStillDecodesPrac)
         attack::rowAddress(system.mapper(), 0, 1, 6, 3, 2000);
     cfg.window = 50 * sim::kUs;
     const auto result = attack::runCovertChannel(
-        system, cfg,
+        system, {cfg},
         binarySymbols(attack::patternBits(
-            attack::MessagePattern::kCheckered1, 32)));
+            attack::MessagePattern::kCheckered1, 32)))[0];
     EXPECT_LE(result.symbol_error, 0.1);
 }
 

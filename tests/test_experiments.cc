@@ -42,6 +42,34 @@ TEST(Experiments, ChannelRunProducesMetrics)
     EXPECT_GT(result.capacity, 30'000.0);
 }
 
+TEST(Experiments, OnePairAggregateMatchesRunChannel)
+{
+    // Both entry points default to the PRAC channel at NBO = 128 with
+    // sources 200/201, so one pair must transmit exactly as runChannel
+    // does: they share one transmission path.
+    core::MultiChannelSpec cell;
+    cell.channels = 1;
+    cell.pattern = attack::MessagePattern::kCheckered1;
+    cell.message_bytes = 6;
+    cell.seed = 7;
+    const auto aggregate = core::runMultiChannelAggregate(cell);
+    ASSERT_EQ(aggregate.per_channel.size(), 1u);
+
+    core::ChannelRunSpec run;
+    run.pattern = cell.pattern;
+    run.message_bytes = cell.message_bytes;
+    run.seed = cell.seed;
+    const auto single = core::runChannel(run);
+
+    const auto &pair = aggregate.per_channel[0];
+    EXPECT_EQ(pair.sent, single.sent);
+    EXPECT_EQ(pair.received, single.received);
+    EXPECT_EQ(pair.symbol_error, single.symbol_error);
+    EXPECT_EQ(pair.capacity, single.capacity);
+    EXPECT_EQ(pair.backoffs, single.backoffs);
+    EXPECT_GT(single.backoffs, 0u);
+}
+
 TEST(Experiments, NoDefenseCellIsExactlyUnityAtAnyNrh)
 {
     // The Fig. 13 sweep computes each mix's baseline once and reuses

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate: keep the documentation verifiably in sync with the code.
 
-Four checks, stdlib-only so CI and laptops run it with any Python 3:
+Five checks, stdlib-only so CI and laptops run it with any Python 3:
 
 1. **Figure catalogue coverage** (needs --names): every figure name the
    `leakyhammer` binary registers must have a `### `name`` entry in
@@ -18,13 +18,19 @@ Four checks, stdlib-only so CI and laptops run it with any Python 3:
    figure — goldens can neither lag behind the registry nor outlive a
    deleted figure silently.
 
-3. **Lint-rule catalogue coverage** (always): docs/LINTING.md must hold
+3. **Registry table coverage** (needs --names): every registered
+   figure must appear in the per-family registry table of
+   docs/EXPERIMENTS.md (the `| `figures_*.cc` | ... |` rows), and every
+   name in that table must be registered — the table cannot drop an
+   entry or keep a deleted one.
+
+4. **Lint-rule catalogue coverage** (always): docs/LINTING.md must hold
    a `### `rule-id`` heading for exactly the rule ids the leaky-lint
    registry exposes (the same set `tools/lint/leaky_lint.py
    --list-rules` prints, meta rules included) — the rule catalogue can
    neither lag behind nor run ahead of the analyzer.
 
-4. **Link resolution** (always): every relative markdown link in
+5. **Link resolution** (always): every relative markdown link in
    README.md and docs/*.md must point at an existing file. External
    (http/https/mailto) links and pure #anchors are skipped; a trailing
    #fragment on a relative link is stripped before the check.
@@ -43,6 +49,9 @@ HEADING_RE = re.compile(r"^###\s+`([^`]+)`")
 # too via the optional bang.
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 EXTERNAL = ("http://", "https://", "mailto:")
+# A registry-table row of docs/EXPERIMENTS.md: | `figures_<family>.cc` |
+TABLE_ROW_RE = re.compile(r"^\|\s*`figures_\w+\.cc`\s*\|")
+BACKTICK_RE = re.compile(r"`([^`]+)`")
 
 
 def repo_root():
@@ -128,6 +137,41 @@ def check_goldens(names_path, golden_dir, failures):
         print("check_docs: goldens in sync (%d figures)" % len(goldens))
 
 
+def check_registry_table(names_path, experiments_md, failures):
+    """The docs/EXPERIMENTS.md registry table <-> the registered names.
+
+    Table rows start with a backticked `figures_<family>.cc` file; their
+    last cell lists the family's entries, each in backticks.
+    """
+    registered = read_names(names_path, failures)
+    if registered is None:
+        return
+    try:
+        with open(experiments_md) as fh:
+            rows = [line for line in fh if TABLE_ROW_RE.match(line)]
+    except OSError as err:
+        failures.append("cannot read %s: %s" % (experiments_md, err))
+        return
+    tabled = []
+    for row in rows:
+        entries = row.strip().strip("|").split("|")[-1]
+        tabled.extend(BACKTICK_RE.findall(entries))
+    count = len(failures)
+    for name in registered:
+        if name not in tabled:
+            failures.append(
+                "figure '%s' is registered but missing from the registry "
+                "table in docs/EXPERIMENTS.md" % name)
+    for name in tabled:
+        if name not in registered:
+            failures.append(
+                "the docs/EXPERIMENTS.md registry table lists '%s', which "
+                "the binary does not register" % name)
+    if len(failures) == count:
+        print("check_docs: registry table in sync (%d figures)"
+              % len(registered))
+
+
 def check_lint_rules(root, failures):
     """docs/LINTING.md headings <-> the leaky-lint rule registry.
 
@@ -202,8 +246,8 @@ def main(argv):
     parser.add_argument(
         "--names",
         help="file with one registered figure name per line (from "
-             "`leakyhammer list --names`); omits the catalogue and "
-             "golden checks when absent")
+             "`leakyhammer list --names`); omits the catalogue, golden "
+             "and registry-table checks when absent")
     parser.add_argument(
         "--golden-dir",
         help="golden CSV directory to cross-check against --names "
@@ -220,6 +264,9 @@ def main(argv):
                       args.golden_dir or os.path.join(root, "tests",
                                                       "golden"),
                       failures)
+        check_registry_table(args.names,
+                             os.path.join(root, "docs", "EXPERIMENTS.md"),
+                             failures)
     check_lint_rules(root, failures)
     check_links(doc_files(root), failures)
 
