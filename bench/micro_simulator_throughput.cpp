@@ -153,7 +153,7 @@ BM_ControllerRequests(benchmark::State &state)
                 static_cast<std::uint32_t>(i % 8),
                 static_cast<std::uint32_t>(i % 4),
                 static_cast<std::uint32_t>(i % 1024));
-            system.issueRead(addr, 0, [&served](sim::Tick) {
+            system.issueRead(addr, 0, [&served] {
                 served += 1;
             });
         }

@@ -7,12 +7,12 @@
 # determinism contract).
 #
 # usage: smoke_figures.sh <leakyhammer-binary> <output-dir>
-#   EXPECTED_FIGURES   override the asserted registry size (default 29)
+#   EXPECTED_FIGURES   override the asserted registry size (default 28)
 set -euo pipefail
 
 BIN="${1:?usage: smoke_figures.sh <leakyhammer-binary> <output-dir>}"
 OUT="${2:?usage: smoke_figures.sh <leakyhammer-binary> <output-dir>}"
-EXPECTED_FIGURES="${EXPECTED_FIGURES:-29}"
+EXPECTED_FIGURES="${EXPECTED_FIGURES:-28}"
 
 mapfile -t figures < <("$BIN" list --names)
 echo "figure registry: ${#figures[@]} entries"

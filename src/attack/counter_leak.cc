@@ -6,17 +6,17 @@
 
 namespace leaky::attack {
 
-CounterLeakAttacker::CounterLeakAttacker(sys::MemoryPort &port,
+CounterLeakAttacker::CounterLeakAttacker(sys::System &system,
                                          const CounterLeakConfig &cfg)
-    : port_(port), cfg_(cfg)
+    : system_(system), cfg_(cfg)
 {
     LEAKY_ASSERT(cfg_.shared_addr != 0 && cfg_.conflict_addr != 0,
                  "counter leak needs shared and conflict rows");
     // PRAC counters are per-channel; both rows must live on the
     // channel the config names.
-    LEAKY_ASSERT(port_.mapper().decode(cfg_.shared_addr).channel ==
+    LEAKY_ASSERT(system_.mapper().decode(cfg_.shared_addr).channel ==
                          cfg_.channel &&
-                     port_.mapper().decode(cfg_.conflict_addr).channel ==
+                     system_.mapper().decode(cfg_.conflict_addr).channel ==
                          cfg_.channel,
                  "counter-leak rows do not decode onto channel %u",
                  cfg_.channel);
@@ -27,7 +27,7 @@ CounterLeakAttacker::leak(
     std::function<void(const CounterLeakResult &)> on_done)
 {
     on_done_ = std::move(on_done);
-    start_ = port_.now();
+    start_ = system_.now();
     mark_ = start_;
     shared_activations_ = 0;
     next_shared_ = true;
@@ -41,8 +41,9 @@ CounterLeakAttacker::iterate()
     next_shared_ = !next_shared_;
     const std::uint64_t addr = shared ? cfg_.shared_addr
                                       : cfg_.conflict_addr;
-    port_.schedule(cfg_.iter_overhead, [this, addr, shared] {
-        port_.issueRead(addr, cfg_.source, [this, shared](Tick done) {
+    system_.schedule(cfg_.iter_overhead, [this, addr, shared] {
+        system_.issueRead(addr, cfg_.source, [this, shared] {
+            const Tick done = system_.now();
             const Tick latency = done - mark_;
             mark_ = done;
             if (shared)
@@ -69,12 +70,12 @@ CounterLeakAttacker::iterate()
     });
 }
 
-CounterLeakVictim::CounterLeakVictim(sys::MemoryPort &port,
+CounterLeakVictim::CounterLeakVictim(sys::System &system,
                                      std::uint64_t shared_addr,
                                      std::uint64_t conflict_addr,
                                      Tick iter_overhead,
                                      std::int32_t source)
-    : port_(port), shared_addr_(shared_addr),
+    : system_(system), shared_addr_(shared_addr),
       conflict_addr_(conflict_addr), iter_overhead_(iter_overhead),
       source_(source)
 {
@@ -101,8 +102,8 @@ CounterLeakVictim::iterate()
     const bool shared = next_shared_;
     next_shared_ = !next_shared_;
     const std::uint64_t addr = shared ? shared_addr_ : conflict_addr_;
-    port_.schedule(iter_overhead_, [this, addr, shared] {
-        port_.issueRead(addr, source_, [this, shared](Tick) {
+    system_.schedule(iter_overhead_, [this, addr, shared] {
+        system_.issueRead(addr, source_, [this, shared] {
             if (shared && remaining_ > 0)
                 remaining_ -= 1;
             iterate();

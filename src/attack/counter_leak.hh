@@ -17,7 +17,7 @@
 #include <functional>
 
 #include "attack/probe.hh"
-#include "sys/port.hh"
+#include "sys/system.hh"
 
 namespace leaky::attack {
 
@@ -46,7 +46,7 @@ struct CounterLeakResult {
 class CounterLeakAttacker
 {
   public:
-    CounterLeakAttacker(sys::MemoryPort &port,
+    CounterLeakAttacker(sys::System &system,
                         const CounterLeakConfig &cfg);
 
     /** Hammer until the back-off fires, then report the leak. */
@@ -55,7 +55,7 @@ class CounterLeakAttacker
   private:
     void iterate();
 
-    sys::MemoryPort &port_;
+    sys::System &system_;
     CounterLeakConfig cfg_;
     std::function<void(const CounterLeakResult &)> on_done_;
     Tick start_ = 0;
@@ -71,7 +71,7 @@ class CounterLeakAttacker
 class CounterLeakVictim
 {
   public:
-    CounterLeakVictim(sys::MemoryPort &port, std::uint64_t shared_addr,
+    CounterLeakVictim(sys::System &system, std::uint64_t shared_addr,
                       std::uint64_t conflict_addr,
                       Tick iter_overhead = 15'000,
                       std::int32_t source = 501);
@@ -81,7 +81,7 @@ class CounterLeakVictim
   private:
     void iterate();
 
-    sys::MemoryPort &port_;
+    sys::System &system_;
     std::uint64_t shared_addr_;
     std::uint64_t conflict_addr_;
     Tick iter_overhead_;

@@ -12,8 +12,8 @@ namespace leaky::attack {
 
 // ---------------------------------------------------------------- sender
 
-CovertSender::CovertSender(sys::MemoryPort &port, const CovertConfig &cfg)
-    : port_(port), cfg_(cfg)
+CovertSender::CovertSender(sys::System &system, const CovertConfig &cfg)
+    : system_(system), cfg_(cfg)
 {
     LEAKY_ASSERT(cfg_.sender_addr != 0, "sender address not configured");
     LEAKY_ASSERT(cfg_.sender_gaps.size() + 1 >= cfg_.levels,
@@ -26,9 +26,9 @@ CovertSender::transmit(std::vector<std::uint8_t> symbols, Tick epoch)
     symbols_ = std::move(symbols);
     epoch_ = epoch;
     window_index_ = 0;
-    const Tick now = port_.now();
+    const Tick now = system_.now();
     LEAKY_ASSERT(epoch_ >= now, "epoch in the past");
-    port_.schedule(epoch_ - now, [this] { windowStart(0); });
+    system_.schedule(epoch_ - now, [this] { windowStart(0); });
 }
 
 void
@@ -38,7 +38,7 @@ CovertSender::windowStart(std::size_t index)
         return;
     window_index_ = index;
     window_end_ = epoch_ + (index + 1) * cfg_.window;
-    port_.schedule(window_end_ - port_.now(),
+    system_.schedule(window_end_ - system_.now(),
                    [this, index] { windowStart(index + 1); });
 
     const std::uint8_t symbol = symbols_[index];
@@ -51,18 +51,18 @@ CovertSender::windowStart(std::size_t index)
     gap_ = cfg_.sender_gaps[std::min<std::size_t>(
         symbol - 1, cfg_.sender_gaps.size() - 1)];
     active_ = true;
-    mark_ = port_.now();
+    mark_ = system_.now();
     accessLoop();
 }
 
 void
 CovertSender::accessLoop()
 {
-    if (!active_ || port_.now() + cfg_.iter_overhead >= window_end_)
+    if (!active_ || system_.now() + cfg_.iter_overhead >= window_end_)
         return;
     const std::uint64_t id = loop_id_;
-    port_.schedule(cfg_.iter_overhead + gap_, [this, id] {
-        if (id != loop_id_ || !active_ || port_.now() >= window_end_)
+    system_.schedule(cfg_.iter_overhead + gap_, [this, id] {
+        if (id != loop_id_ || !active_ || system_.now() >= window_end_)
             return;
         std::uint64_t addr = (cfg_.sender_addr2 != 0 && (accesses_ & 1))
                                  ? cfg_.sender_addr2
@@ -71,8 +71,8 @@ CovertSender::accessLoop()
             addr = cfg_.sender_sequence[seq_pos_];
             seq_pos_ = (seq_pos_ + 1) % cfg_.sender_sequence.size();
         }
-        port_.issueRead(addr, cfg_.sender_source,
-                        [this, id](Tick done) {
+        system_.issueRead(addr, cfg_.sender_source, [this, id] {
+            const Tick done = system_.now();
             accesses_ += 1;
             const Tick latency = done - mark_;
             mark_ = done;
@@ -94,9 +94,9 @@ CovertSender::accessLoop()
 
 // -------------------------------------------------------------- receiver
 
-CovertReceiver::CovertReceiver(sys::MemoryPort &port,
+CovertReceiver::CovertReceiver(sys::System &system,
                                const CovertConfig &cfg)
-    : port_(port), cfg_(cfg)
+    : system_(system), cfg_(cfg)
 {
     LEAKY_ASSERT(cfg_.receiver_addr != 0,
                  "receiver address not configured");
@@ -112,9 +112,9 @@ CovertReceiver::listen(std::size_t n_symbols, Tick epoch,
     decoded_.clear();
     backoff_counts_.clear();
     detections_.clear();
-    const Tick now = port_.now();
+    const Tick now = system_.now();
     LEAKY_ASSERT(epoch_ >= now, "epoch in the past");
-    port_.schedule(epoch_ - now, [this] { windowStart(0); });
+    system_.schedule(epoch_ - now, [this] { windowStart(0); });
 }
 
 void
@@ -134,10 +134,10 @@ CovertReceiver::windowStart(std::size_t index)
     backoffs_seen_ = 0;
     count_at_backoff_ = 0;
     rfm_events_ = 0;
-    port_.schedule(window_end_ - port_.now(),
+    system_.schedule(window_end_ - system_.now(),
                    [this, index] { windowStart(index + 1); });
 
-    mark_ = port_.now();
+    mark_ = system_.now();
     if (!listening_) {
         listening_ = true;
         accessLoop();
@@ -147,15 +147,15 @@ CovertReceiver::windowStart(std::size_t index)
 void
 CovertReceiver::accessLoop()
 {
-    if (!listening_ || port_.now() + cfg_.iter_overhead >= window_end_) {
+    if (!listening_ || system_.now() + cfg_.iter_overhead >= window_end_) {
         listening_ = false;
         return;
     }
-    port_.schedule(cfg_.iter_overhead, [this] {
+    system_.schedule(cfg_.iter_overhead, [this] {
         if (!listening_)
             return;
-        port_.issueRead(cfg_.receiver_addr, cfg_.receiver_source,
-                        [this](Tick done) {
+        system_.issueRead(cfg_.receiver_addr, cfg_.receiver_source, [this] {
+            const Tick done = system_.now();
             const Tick latency = done - mark_;
             mark_ = done;
             access_count_ += 1;
@@ -220,7 +220,7 @@ CovertReceiver::finalizeWindow()
     // sleep after an early decode.
     if (!listening_) {
         listening_ = true;
-        mark_ = port_.now();
+        mark_ = system_.now();
         accessLoop();
     }
 }

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "attack/probe.hh"
-#include "sys/port.hh"
 #include "sys/system.hh"
 
 namespace leaky::attack {
@@ -101,7 +100,7 @@ struct CovertConfig {
 class CovertSender
 {
   public:
-    CovertSender(sys::MemoryPort &port, const CovertConfig &cfg);
+    CovertSender(sys::System &system, const CovertConfig &cfg);
 
     /** Transmit @p symbols in consecutive windows starting at @p epoch. */
     void transmit(std::vector<std::uint8_t> symbols, Tick epoch);
@@ -112,7 +111,7 @@ class CovertSender
     void windowStart(std::size_t index);
     void accessLoop();
 
-    sys::MemoryPort &port_;
+    sys::System &system_;
     CovertConfig cfg_;
     std::vector<std::uint8_t> symbols_;
     Tick epoch_ = 0;
@@ -130,7 +129,7 @@ class CovertSender
 class CovertReceiver
 {
   public:
-    CovertReceiver(sys::MemoryPort &port, const CovertConfig &cfg);
+    CovertReceiver(sys::System &system, const CovertConfig &cfg);
 
     /** Listen for @p n_symbols windows starting at @p epoch. */
     void listen(std::size_t n_symbols, Tick epoch,
@@ -158,7 +157,7 @@ class CovertReceiver
     void accessLoop();
     std::uint8_t decodeSymbol() const;
 
-    sys::MemoryPort &port_;
+    sys::System &system_;
     CovertConfig cfg_;
     std::size_t n_symbols_ = 0;
     Tick epoch_ = 0;

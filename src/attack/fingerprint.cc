@@ -7,16 +7,16 @@
 
 namespace leaky::attack {
 
-FingerprintProbe::FingerprintProbe(sys::MemoryPort &port,
+FingerprintProbe::FingerprintProbe(sys::System &system,
                                    FingerprintConfig cfg)
-    : port_(port), cfg_(std::move(cfg))
+    : system_(system), cfg_(std::move(cfg))
 {
     LEAKY_ASSERT(!cfg_.rows.empty(), "probe needs test rows");
     LEAKY_ASSERT(cfg_.t_accesses > 0, "T must be positive");
     // Back-offs are channel-wide but never wider: rows on any other
     // channel would observe a different defense instance entirely.
     for (auto row : cfg_.rows)
-        LEAKY_ASSERT(port_.mapper().decode(row).channel == cfg_.channel,
+        LEAKY_ASSERT(system_.mapper().decode(row).channel == cfg_.channel,
                      "probe row does not decode onto channel %u",
                      cfg_.channel);
 }
@@ -25,7 +25,7 @@ void
 FingerprintProbe::start(std::function<void()> on_done)
 {
     on_done_ = std::move(on_done);
-    start_ = port_.now();
+    start_ = system_.now();
     end_ = start_ + cfg_.duration;
     mark_ = start_;
     iterate();
@@ -34,7 +34,7 @@ FingerprintProbe::start(std::function<void()> on_done)
 void
 FingerprintProbe::iterate()
 {
-    if (port_.now() >= end_) {
+    if (system_.now() >= end_) {
         if (!done_reported_) {
             done_reported_ = true;
             if (on_done_)
@@ -48,8 +48,9 @@ FingerprintProbe::iterate()
         access_in_row_ = 0;
         row_index_ = (row_index_ + 1) % cfg_.rows.size();
     }
-    port_.schedule(cfg_.iter_overhead, [this, addr] {
-        port_.issueRead(addr, cfg_.source, [this](Tick done) {
+    system_.schedule(cfg_.iter_overhead, [this, addr] {
+        system_.issueRead(addr, cfg_.source, [this] {
+            const Tick done = system_.now();
             const Tick latency = done - mark_;
             mark_ = done;
             accesses_ += 1;

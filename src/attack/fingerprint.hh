@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "attack/probe.hh"
-#include "sys/port.hh"
+#include "sys/system.hh"
 
 namespace leaky::attack {
 
@@ -39,7 +39,7 @@ struct FingerprintConfig {
 class FingerprintProbe
 {
   public:
-    FingerprintProbe(sys::MemoryPort &port, FingerprintConfig cfg);
+    FingerprintProbe(sys::System &system, FingerprintConfig cfg);
 
     /** Probe until `duration` elapses, then invoke @p on_done. */
     void start(std::function<void()> on_done = {});
@@ -52,7 +52,7 @@ class FingerprintProbe
   private:
     void iterate();
 
-    sys::MemoryPort &port_;
+    sys::System &system_;
     FingerprintConfig cfg_;
     std::function<void()> on_done_;
     Tick start_ = 0;

@@ -21,9 +21,9 @@ log2OfPow2(std::uint64_t v)
 
 } // namespace
 
-MappingRecovery::MappingRecovery(sys::MemoryPort &port,
+MappingRecovery::MappingRecovery(sys::System &system,
                                  MappingRecoveryConfig cfg)
-    : port_(port), cfg_(std::move(cfg)), rng_(cfg_.seed)
+    : system_(system), cfg_(std::move(cfg)), rng_(cfg_.seed)
 {
     LEAKY_ASSERT(cfg_.samples_per_pair >= 2,
                  "need at least two alternation samples per pair");
@@ -31,7 +31,7 @@ MappingRecovery::MappingRecovery(sys::MemoryPort &port,
     // Datasheet knowledge only: the module's capacity and geometry
     // counts. Which physical bits feed which coordinate — the mapping
     // function itself — is what the probing below has to discover.
-    const dram::AddressMapper &mapper = port_.mapper();
+    const dram::AddressMapper &mapper = system_.mapper();
     total_bits_ = log2OfPow2(mapper.capacityBytes() /
                              dram::MappingFunction::kLineBytes);
     const dram::Organization &org = mapper.org();
@@ -97,7 +97,7 @@ MappingRecovery::measurePair(std::uint64_t line_a, std::uint64_t line_b,
     min_latency_ = 0;
     measure_cb_ = std::move(cb);
     result_.probes += 1;
-    mark_ = port_.now();
+    mark_ = system_.now();
     measureStep();
 }
 
@@ -121,8 +121,9 @@ MappingRecovery::measureStep()
     }
     const std::uint64_t addr = pair_[reads_done_ & 1];
     reads_done_ += 1;
-    port_.schedule(cfg_.iter_overhead, [this, addr] {
-        port_.issueRead(addr, cfg_.source, [this](Tick done) {
+    system_.schedule(cfg_.iter_overhead, [this, addr] {
+        system_.issueRead(addr, cfg_.source, [this] {
+            const Tick done = system_.now();
             const Tick latency = done - mark_;
             mark_ = done;
             result_.accesses += 1;

@@ -30,7 +30,7 @@
 #include "attack/probe.hh"
 #include "dram/mapping.hh"
 #include "sim/rng.hh"
-#include "sys/port.hh"
+#include "sys/system.hh"
 
 namespace leaky::attack {
 
@@ -84,7 +84,7 @@ struct RecoveredMapping {
 class MappingRecovery
 {
   public:
-    MappingRecovery(sys::MemoryPort &port, MappingRecoveryConfig cfg);
+    MappingRecovery(sys::System &system, MappingRecoveryConfig cfg);
 
     /** Begin probing; @p on_done fires once recovery finishes (or the
      *  round budget is exhausted — check result().bank_solved). */
@@ -125,7 +125,7 @@ class MappingRecovery
     void refineNext();
     void finish();
 
-    sys::MemoryPort &port_;
+    sys::System &system_;
     MappingRecoveryConfig cfg_;
     std::function<void()> on_done_;
     sim::Rng rng_;

@@ -4,8 +4,8 @@
 
 namespace leaky::attack {
 
-NoiseAgent::NoiseAgent(sys::MemoryPort &port, const NoiseConfig &cfg)
-    : port_(port), cfg_(cfg)
+NoiseAgent::NoiseAgent(sys::System &system, const NoiseConfig &cfg)
+    : system_(system), cfg_(cfg)
 {
     LEAKY_ASSERT(cfg_.addrs.size() >= 2,
                  "noise agent needs at least two row addresses");
@@ -29,13 +29,12 @@ NoiseAgent::loop()
     // wall clock (sleep between activations), not by load-to-use
     // dependencies, so its request rate is sleep-controlled even when
     // DRAM is slow.
-    port_.schedule(cfg_.iter_overhead + cfg_.sleep, [this] {
+    system_.schedule(cfg_.iter_overhead + cfg_.sleep, [this] {
         if (!running_)
             return;
         const std::uint64_t addr = cfg_.addrs[next_];
         next_ = (next_ + 1) % cfg_.addrs.size();
-        port_.issueRead(addr, cfg_.source,
-                        [this](Tick) { accesses_ += 1; });
+        system_.issueRead(addr, cfg_.source, [this] { accesses_ += 1; });
         loop();
     });
 }

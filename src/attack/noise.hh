@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sys/port.hh"
+#include "sys/system.hh"
 
 namespace leaky::attack {
 
@@ -38,7 +38,7 @@ struct NoiseConfig {
 class NoiseAgent
 {
   public:
-    NoiseAgent(sys::MemoryPort &port, const NoiseConfig &cfg);
+    NoiseAgent(sys::System &system, const NoiseConfig &cfg);
 
     void start();
     void stop() { running_ = false; }
@@ -48,7 +48,7 @@ class NoiseAgent
   private:
     void loop();
 
-    sys::MemoryPort &port_;
+    sys::System &system_;
     NoiseConfig cfg_;
     bool running_ = false;
     std::size_t next_ = 0;

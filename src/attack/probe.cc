@@ -35,14 +35,14 @@ LatencyClassifier::forTiming(const dram::Timing &timing, Tick base_latency,
     return c;
 }
 
-LatencyProbe::LatencyProbe(sys::MemoryPort &port, ProbeConfig cfg)
-    : port_(port), cfg_(std::move(cfg))
+LatencyProbe::LatencyProbe(sys::System &system, ProbeConfig cfg)
+    : system_(system), cfg_(std::move(cfg))
 {
     LEAKY_ASSERT(!cfg_.addrs.empty(), "probe needs at least one address");
     // The channel field is the collector's contract (stats are read
     // from it); every probe row must actually decode onto it.
     for (auto addr : cfg_.addrs)
-        LEAKY_ASSERT(port_.mapper().decode(addr).channel == cfg_.channel,
+        LEAKY_ASSERT(system_.mapper().decode(addr).channel == cfg_.channel,
                      "probe address does not decode onto channel %u",
                      cfg_.channel);
     samples_.reserve(cfg_.iterations);
@@ -52,7 +52,7 @@ void
 LatencyProbe::start(std::function<void()> on_done)
 {
     on_done_ = std::move(on_done);
-    mark_ = port_.now();
+    mark_ = system_.now();
     iterate();
 }
 
@@ -67,8 +67,9 @@ LatencyProbe::iterate()
     const std::uint64_t addr = cfg_.addrs[iter_ % cfg_.addrs.size()];
     iter_ += 1;
     // clflush + loop overhead, then the (cache-bypassing) access.
-    port_.schedule(cfg_.iter_overhead, [this, addr] {
-        port_.issueRead(addr, cfg_.source, [this](Tick done) {
+    system_.schedule(cfg_.iter_overhead, [this, addr] {
+        system_.issueRead(addr, cfg_.source, [this] {
+            const Tick done = system_.now();
             samples_.push_back({done, done - mark_});
             mark_ = done;
             iterate();

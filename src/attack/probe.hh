@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "dram/config.hh"
-#include "sys/port.hh"
+#include "sys/system.hh"
 
 namespace leaky::attack {
 
@@ -86,7 +86,7 @@ struct ProbeConfig {
 class LatencyProbe
 {
   public:
-    LatencyProbe(sys::MemoryPort &port, ProbeConfig cfg);
+    LatencyProbe(sys::System &system, ProbeConfig cfg);
 
     /** Begin probing; @p on_done fires after the last iteration. */
     void start(std::function<void()> on_done = {});
@@ -96,7 +96,7 @@ class LatencyProbe
   private:
     void iterate();
 
-    sys::MemoryPort &port_;
+    sys::System &system_;
     ProbeConfig cfg_;
     std::function<void()> on_done_;
     std::vector<LatencySample> samples_;

@@ -7,7 +7,7 @@
  *  - leaky::dram     DDR5 device model, address mapping, defense hooks
  *  - leaky::ctrl     memory controller (FR-FCFS, refresh, ABO protocol)
  *  - leaky::defense  PRAC / PRFM / FR-RFM / RIAC / Bank-PRAC / PARA
- *  - leaky::sys      caches, cores, prefetcher, System (MemoryPort)
+ *  - leaky::sys      caches, cores, prefetcher, System
  *  - leaky::workload SPEC-like and website trace generators
  *  - leaky::attack   LeakyHammer probes, covert channels, side channel
  *  - leaky::ml       fingerprinting classifiers

@@ -66,11 +66,7 @@ MemoryController::enqueue(Request &&req)
 
     if (!is_read && entry.req.on_complete) {
         // Posted write: completes (from the CPU's view) on acceptance.
-        // The callback is moved out of the request -- nothing else needs
-        // it -- so no Request copy is captured.
-        const Tick now = eq_.now();
-        eq_.schedule(now, [cb = std::move(entry.req.on_complete),
-                           now] { cb(now); });
+        eq_.schedule(eq_.now(), std::move(entry.req.on_complete));
     }
     q.push(std::move(entry));
     last_activity_ = eq_.now();
@@ -596,13 +592,8 @@ MemoryController::issueAndAccount(Command cmd, QueueEntry &entry, Tick now)
     } else if (cmd == Command::kRd) {
         stats_.reads_served += 1;
         stats_.read_latency_sum += done - entry.arrival;
-        if (entry.req.on_complete) {
-            // The entry is erased right after this returns; move the
-            // callback into the completion event instead of copying
-            // the whole request.
-            eq_.schedule(done, [cb = std::move(entry.req.on_complete),
-                                done] { cb(done); });
-        }
+        if (entry.req.on_complete)
+            eq_.schedule(done, std::move(entry.req.on_complete));
     } else if (cmd == Command::kWr) {
         stats_.writes_served += 1;
     }

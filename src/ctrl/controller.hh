@@ -68,6 +68,9 @@ enum class PreventiveEvent : std::uint8_t {
 class MemoryController final : public dram::AlertSink
 {
   public:
+    /** Ground-truth observer of preventive actions, never on the read
+     *  path; ROADMAP item 5's issued-command observer replaces it. */
+    // lint:allow(no-std-function-on-memory-path): see ROADMAP item 5
     using Listener = std::function<void(PreventiveEvent, Tick start,
                                         Tick end, const Address &)>;
 
@@ -101,14 +104,6 @@ class MemoryController final : public dram::AlertSink
         return type == Request::Type::kRead
                    ? read_q_.size() >= cfg_.read_queue_depth
                    : write_q_.size() >= cfg_.write_queue_depth;
-    }
-
-    /** Convenience overload for lvalue requests (copies). */
-    bool
-    enqueue(const Request &req)
-    {
-        Request copy = req;
-        return enqueue(std::move(copy));
     }
 
     dram::DramChannel &channel() { return chan_; }

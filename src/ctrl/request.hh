@@ -8,11 +8,10 @@
 #define LEAKY_CTRL_REQUEST_HH
 
 #include <cstdint>
-#include <functional>
 #include <tuple>
 
 #include "dram/types.hh"
-#include "sim/tick.hh"
+#include "sim/event_queue.hh"
 
 namespace leaky::ctrl {
 
@@ -23,19 +22,17 @@ using sim::Tick;
 struct Request {
     enum class Type : std::uint8_t { kRead, kWrite };
 
-    /** Completion callback; receives the completion tick. The controller
-     *  moves it out of the request when arming the completion event, so
-     *  delivering a completion never copies the request. */
-    using Callback = std::function<void(Tick completion)>;
-
-    Type type = Type::kRead;
+    // Ordered so these fields pack ahead of the 16-aligned SmallFn
+    // without a padding hole.
     std::uint64_t phys_addr = 0;
     Address addr; ///< Decoded coordinates (filled by the system front-end).
     std::int32_t source = 0; ///< Requestor id (core/agent) for stats.
+    Type type = Type::kRead;
 
     /** Invoked when the data burst completes (reads) or when the write is
-     *  accepted into the queue (posted writes). */
-    Callback on_complete;
+     *  accepted into the queue (posted writes); now() is that tick. The
+     *  controller moves it into the completion event as is. */
+    sim::SmallFn on_complete;
 };
 
 /** Aggregate controller statistics. */

@@ -29,14 +29,14 @@ struct QueueEntry {
 
 /**
  * Controller request queue with compact scan mirrors. Entries carry a
- * ~130-byte Request (address, completion std::function, stats fields),
- * so an FR-FCFS scan over full entries touches two cache lines per
- * element. The queue therefore mirrors exactly the fields the scan
- * reads -- order, flat bank, row -- into packed side arrays kept in
- * lockstep with the entry storage: a 64-entry scan reads ~1 KiB of
- * contiguous data instead of ~8 KiB of scattered entries. push()
- * annotates the address (fills the flat-index caches) so the mirrors
- * are always valid.
+ * 112-byte Request (decoded address, completion SmallFn, requestor),
+ * so a 144-byte entry spans up to three cache lines and an FR-FCFS
+ * scan over full entries would touch them all. The queue therefore
+ * mirrors exactly the fields the scan reads -- order, flat bank, row --
+ * into packed side arrays kept in lockstep with the entry storage: a
+ * 64-entry scan reads ~1 KiB of contiguous data instead of ~9 KiB of
+ * entries. push() annotates the address (fills the flat-index caches)
+ * so the mirrors are always valid.
  */
 class RequestQueue
 {

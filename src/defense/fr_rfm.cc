@@ -34,10 +34,9 @@ FrRfmDefense::pendingRfm(Tick now)
 }
 
 void
-FrRfmDefense::onRfmIssued(const RfmRequest &, Tick issued, Tick end)
+FrRfmDefense::onRfmIssued(const RfmRequest &, Tick, Tick end)
 {
     in_flight_ = false;
-    issued_at_.push_back(issued);
     next_at_ += cfg_.period;
     // If the RFM window overran the next grid point (only possible for
     // periods near the physical floor), skip slots rather than drift.

@@ -12,7 +12,6 @@
 #define LEAKY_DEFENSE_FR_RFM_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "ctrl/defense_iface.hh"
 #include "dram/config.hh"
@@ -38,9 +37,6 @@ class FrRfmDefense final : public ctrl::ControllerDefense
                      sim::Tick end) override;
     sim::Tick nextEventTick(sim::Tick now) const override;
 
-    /** Exact ticks at which RFMs were issued (security property tests). */
-    const std::vector<sim::Tick> &issueTimes() const { return issued_at_; }
-
     /** Grid points that had to be skipped because a window overran. */
     std::uint64_t skippedSlots() const { return skipped_; }
 
@@ -48,7 +44,6 @@ class FrRfmDefense final : public ctrl::ControllerDefense
     FrRfmConfig cfg_;
     sim::Tick next_at_;
     bool in_flight_ = false;
-    std::vector<sim::Tick> issued_at_;
     std::uint64_t skipped_ = 0;
 };
 

@@ -17,6 +17,8 @@ PracDefense::PracDefense(const dram::DramConfig &dram_cfg,
       bank_recovery_left_(dram_cfg.org.totalBanks(), 0)
 {
     LEAKY_ASSERT(sink_ != nullptr, "PRAC needs an alert sink");
+    rfm_scope_.reserve(dram_cfg.org.bankgroups *
+                       dram_cfg.org.banks_per_group);
     if (cfg_.riac && cfg_.riac_init_max == 0)
         cfg_.riac_init_max = cfg_.nbo;
 }
@@ -175,7 +177,8 @@ PracDefense::onRfm(Command kind, const Address &addr, bool during_backoff,
     // Each RFM window services ONE aggressor row: the device refreshes
     // the victims of the highest activation counter reachable by the
     // command's scope (§6.1: a 4-RFM back-off covers four aggressors).
-    std::vector<std::uint32_t> scope;
+    auto &scope = rfm_scope_;
+    scope.clear();
     if (kind == Command::kRfmAll) {
         for (std::uint32_t bg = 0; bg < dram_cfg_.org.bankgroups; ++bg) {
             for (std::uint32_t b = 0; b < dram_cfg_.org.banks_per_group;

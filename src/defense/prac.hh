@@ -100,6 +100,8 @@ class PracDefense final : public dram::DeviceHooks
     mutable sim::Rng rng_;
 
     std::vector<BankCounters> banks_;
+    /** onRfm()'s banks in scope; reused so RFMs do not allocate. */
+    std::vector<std::uint32_t> rfm_scope_;
 
     // Channel-scope alert state.
     bool alert_active_ = false;

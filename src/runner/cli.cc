@@ -361,10 +361,8 @@ cmdCampaign(int argc, char **argv)
         return usageError(error, "campaign");
 
     const SweepSpec spec = figure->make(opts);
-    const std::string scale =
-        opts.full ? "full" : (opts.smoke ? "smoke" : "default");
-    const auto meta =
-        campaign::makeMeta(spec, shards, figure->csv_name, scale);
+    const auto meta = campaign::makeMeta(spec, shards, figure->csv_name,
+                                         scaleName(opts.scale()));
     campaign::openCampaign(meta, dir);
     campaign::installStopSignalHandlers();
 

@@ -8,15 +8,20 @@
 
 namespace leaky::runner {
 
+const char *
+scaleName(Scale scale)
+{
+    return scale == Scale::kFull    ? "full"
+           : scale == Scale::kSmoke ? "smoke"
+                                    : "default";
+}
+
 SweepSpec
 resolveSweep(const RunOptions &opts, const std::string &name,
              std::uint64_t default_seed, const SpecBuilder &build)
 {
-    const Scale scale = opts.full    ? Scale::kFull
-                        : opts.smoke ? Scale::kSmoke
-                                     : Scale::kDefault;
     const std::uint64_t seed = opts.seed ? opts.seed : default_seed;
-    SweepSpec spec = build(scale, seed);
+    SweepSpec spec = build(opts.scale(), seed);
     spec.name = name;
     spec.base_seed = seed;
     return spec;

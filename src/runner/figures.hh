@@ -22,6 +22,12 @@
 
 namespace leaky::runner {
 
+/** Sweep size requested on the CLI (never changes the physics). */
+enum class Scale { kSmoke, kDefault, kFull };
+
+/** The scale's campaign-manifest label: "smoke", "default", "full". */
+const char *scaleName(Scale scale);
+
 /** How to run a figure reproduction. */
 struct RunOptions {
     unsigned threads = 0; ///< Pool workers (0 = hardware concurrency).
@@ -29,6 +35,13 @@ struct RunOptions {
     bool full = false;    ///< Paper scale (overrides smoke).
     std::uint64_t seed = 0; ///< 0 = the figure's default seed.
     std::string out_dir = "."; ///< Where CSV artifacts land.
+
+    /** The one flags -> scale rule: --full wins over --smoke. */
+    Scale
+    scale() const
+    {
+        return full ? Scale::kFull : smoke ? Scale::kSmoke : Scale::kDefault;
+    }
 };
 
 /** One reproducible paper figure. */

@@ -67,25 +67,6 @@ collectionSpec(std::uint32_t sites, std::uint32_t loads,
     return spec;
 }
 
-/** The Fig. 10 / Table 2 collection sizes: both classifier studies
- *  train on the same dataset shape at every scale. */
-SweepSpec
-classifierCollection(Scale scale, std::uint64_t seed)
-{
-    std::uint32_t sites = 12, loads = 12;
-    sim::Tick duration = 2 * sim::kMs;
-    if (scale == Scale::kSmoke) {
-        sites = 4;
-        loads = 4;
-        duration = sim::kMs;
-    } else if (scale == Scale::kFull) {
-        sites = 40;
-        loads = 50;
-        duration = 4 * sim::kMs;
-    }
-    return collectionSpec(sites, loads, duration, seed);
-}
-
 /** Rebuild the ML dataset from merged collection rows. */
 ml::Dataset
 datasetFromRows(const SweepResult &result)
@@ -176,40 +157,39 @@ stripsFigure()
                       summarize);
 }
 
-// ----------------------------------------------------------- Fig. 10
+// ------------------------------------------------- Fig. 10, Table 2
 
 Figure
 classifiersFigure()
 {
+    auto sweep = [](Scale scale, std::uint64_t seed) {
+        std::uint32_t sites = 12, loads = 12;
+        sim::Tick duration = 2 * sim::kMs;
+        if (scale == Scale::kSmoke) {
+            sites = 4;
+            loads = 4;
+            duration = sim::kMs;
+        } else if (scale == Scale::kFull) {
+            sites = 40;
+            loads = 50;
+            duration = 4 * sim::kMs;
+        }
+        return collectionSpec(sites, loads, duration, seed);
+    };
+    // Both studies train on one collection: the eight models on a
+    // stratified split (Fig. 10), then the decision tree under k-fold
+    // cross-validation (Table 2).
     auto summarize = [](const SweepResult &result) {
         const auto data = datasetFromRows(result);
         const auto split = ml::stratifiedSplit(data, 0.25, 77);
-        core::Table table({"model", "test accuracy"});
+        core::Table models({"model", "test accuracy"});
         for (const auto &model : ml::makeFig10Models()) {
             model->fit(split.train);
             const auto cm = ml::evaluate(*model, split.test);
-            table.addRow({model->name(), core::fmt(cm.accuracy(), 3)});
+            models.addRow({model->name(), core::fmt(cm.accuracy(), 3)});
         }
-        table.addRow({"(chance)", core::fmt(1.0 / data.n_classes, 3)});
-        return table.str() +
-               "\npaper reference: DT 0.75, RF 0.48, GB 0.47, kNN "
-               "0.30, SVM 0.11, LR 0.08, Ada 0.08, Perc 0.06 "
-               "(chance 0.025).\n";
-    };
-    return makeFigure("classifiers",
-                      "Accuracy of the eight classical ML models on "
-                      "website fingerprints",
-                      "Fig. 10", "fig_classifier_accuracy.csv", 2025,
-                      classifierCollection, summarize);
-}
+        models.addRow({"(chance)", core::fmt(1.0 / data.n_classes, 3)});
 
-// ----------------------------------------------------------- Table 2
-
-Figure
-fingerprintCvFigure()
-{
-    auto summarize = [](const SweepResult &result) {
-        const auto data = datasetFromRows(result);
         // Fold count follows the collection size: the paper's 10-fold
         // needs 50 loads per site; smaller scales keep folds <= loads.
         double max_load = 0;
@@ -222,26 +202,31 @@ fingerprintCvFigure()
         const auto cv = ml::crossValidate(
             [] { return std::make_unique<ml::DecisionTree>(); }, data,
             folds);
-        core::Table table({"metric", "mean (%)", "stddev"});
-        table.addRow({"F1", core::fmt(cv.f1.mean * 100.0, 1),
+        core::Table kfold({"metric", "mean (%)", "stddev"});
+        kfold.addRow({"F1", core::fmt(cv.f1.mean * 100.0, 1),
                       core::fmt(cv.f1.stddev * 100.0, 1)});
-        table.addRow({"Precision",
+        kfold.addRow({"Precision",
                       core::fmt(cv.precision.mean * 100.0, 1),
                       core::fmt(cv.precision.stddev * 100.0, 1)});
-        table.addRow({"Recall", core::fmt(cv.recall.mean * 100.0, 1),
+        kfold.addRow({"Recall", core::fmt(cv.recall.mean * 100.0, 1),
                       core::fmt(cv.recall.stddev * 100.0, 1)});
-        table.addRow({"Accuracy",
+        kfold.addRow({"Accuracy",
                       core::fmt(cv.accuracy.mean * 100.0, 1),
                       core::fmt(cv.accuracy.stddev * 100.0, 1)});
-        return table.str() +
+        return models.str() +
+               "\npaper reference: DT 0.75, RF 0.48, GB 0.47, kNN "
+               "0.30, SVM 0.11, LR 0.08, Ada 0.08, Perc 0.06 "
+               "(chance 0.025).\n\nDecision tree, " +
+               std::to_string(folds) + "-fold cross-validation:\n" +
+               kfold.str() +
                "\npaper reference (10-fold): F1 71.8 (4.2), precision "
                "74.1 (4.4), recall 72.4 (4.2).\n";
     };
-    return makeFigure("fingerprint-cv",
-                      "k-fold cross-validation of the decision-tree "
-                      "fingerprint classifier",
-                      "Table 2", "tab_fingerprint_cv.csv", 2025,
-                      classifierCollection, summarize);
+    return makeFigure("classifiers",
+                      "Accuracy of eight classical ML models and the "
+                      "decision tree's k-fold cross-validation",
+                      "Fig. 10, Table 2", "fig_classifier_accuracy.csv",
+                      2025, sweep, summarize);
 }
 
 // ------------------------------------------------------------- §10.3
@@ -350,7 +335,6 @@ fingerprintFigures()
     figures.push_back(fingerprintFigure());
     figures.push_back(stripsFigure());
     figures.push_back(classifiersFigure());
-    figures.push_back(fingerprintCvFigure());
     figures.push_back(cachePrefetchFigure());
     return figures;
 }

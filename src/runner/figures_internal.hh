@@ -22,15 +22,12 @@
 
 namespace leaky::runner {
 
-/** Sweep size requested on the CLI (never changes the physics). */
-enum class Scale { kSmoke, kDefault, kFull };
-
 /** A figure's sweep at a resolved scale and base seed. Builders leave
  *  `spec.name` and `spec.base_seed` to resolveSweep. */
 using SpecBuilder = std::function<SweepSpec(Scale, std::uint64_t seed)>;
 
 /**
- * The one RunOptions -> sweep rule: --full wins over --smoke, seed 0
+ * The one RunOptions -> sweep rule: the scale is opts.scale(), seed 0
  * means @p default_seed, and the built spec is stamped with @p name
  * and the resolved seed.
  */

@@ -73,6 +73,20 @@ EventQueue::commitSlot(std::uint32_t idx, Tick when)
     live_ += 1;
 }
 
+EventHandle
+EventQueue::schedule(Tick when, SmallFn &&fn)
+{
+    checkFuture(when);
+    const std::uint32_t idx = claimSlot();
+    Record &r = record(idx);
+    if (fn.spilled())
+        stats_.one_shot_spills += 1;
+    fn_slab_[idx] = std::move(fn);
+    r.has_fn = true;
+    commitSlot(idx, when);
+    return makeHandle(idx, r.gen);
+}
+
 void
 EventQueue::abortClaim(std::uint32_t idx)
 {

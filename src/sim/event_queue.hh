@@ -73,6 +73,16 @@ class SmallFn
     static constexpr std::size_t kInlineBytes = 48;
 
     SmallFn() = default;
+
+    /** Wrap @p fn, e.g. `request.on_complete = [this] { ... };`. */
+    template <typename F,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::decay_t<F>, SmallFn>>>
+    SmallFn(F &&fn)
+    {
+        emplace(std::forward<F>(fn));
+    }
+
     SmallFn(const SmallFn &) = delete;
     SmallFn &operator=(const SmallFn &) = delete;
 
@@ -121,6 +131,9 @@ class SmallFn
 
     explicit operator bool() const { return ops_ != nullptr; }
 
+    /** True when the payload lives in a heap cell (did not fit). */
+    bool spilled() const { return ops_ != nullptr && ops_->spilled; }
+
     void
     reset()
     {
@@ -135,6 +148,7 @@ class SmallFn
         void (*invoke)(void *);
         void (*relocate)(void *dst, void *src); ///< Move + destroy src.
         void (*destroy)(void *);
+        bool spilled;
     };
 
     template <typename Fn> static const Ops kInlineOps;
@@ -161,6 +175,7 @@ const SmallFn::Ops SmallFn::kInlineOps = {
         static_cast<Fn *>(src)->~Fn();
     },
     [](void *p) { static_cast<Fn *>(p)->~Fn(); },
+    false,
 };
 
 template <typename Fn>
@@ -170,6 +185,7 @@ const SmallFn::Ops SmallFn::kHeapOps = {
         ::new (dst) Fn *(*static_cast<Fn **>(src));
     },
     [](void *p) { delete *static_cast<Fn **>(p); },
+    true,
 };
 
 /**
@@ -267,6 +283,8 @@ class EventQueue
     {
         static_assert(std::is_invocable_v<std::decay_t<F> &>,
                       "event callback must be invocable with no args");
+        static_assert(!std::is_same_v<std::decay_t<F>, SmallFn>,
+                      "move an already-built SmallFn in");
         checkFuture(when);
         const std::uint32_t idx = claimSlot();
         Record &r = record(idx);
@@ -284,6 +302,11 @@ class EventQueue
         commitSlot(idx, when);
         return makeHandle(idx, r.gen);
     }
+
+    /** Schedule an already-built payload by move: it lands in the slab
+     *  as is, not wrapped in a second SmallFn (which would outgrow the
+     *  inline buffer). A spilled payload counts as a one-shot spill. */
+    EventHandle schedule(Tick when, SmallFn &&fn);
 
     /** Schedule @p fn to run @p delay ticks from now. */
     template <typename F>

@@ -6,12 +6,16 @@
 
 namespace leaky::sys {
 
-TraceCore::TraceCore(MemoryPort &port, const CoreConfig &cfg,
+TraceCore::TraceCore(System &system, const CoreConfig &cfg,
                      std::vector<TraceEntry> trace, std::int32_t source_id)
-    : port_(port), cfg_(cfg), trace_(std::move(trace)), source_(source_id),
-      caches_(cfg.caches)
+    : system_(system), cfg_(cfg), trace_(std::move(trace)),
+      source_(source_id), caches_(cfg.caches)
 {
     LEAKY_ASSERT(!trace_.empty(), "core %d has an empty trace", source_id);
+    outstanding_.reserve(cfg_.mshrs);
+    waiters_.reserve(cfg_.mshrs);
+    woken_.reserve(cfg_.mshrs);
+    fill_.writebacks.reserve(1); // Only the LLC victim is written back.
 }
 
 Tick
@@ -25,7 +29,7 @@ TraceCore::instTicks(std::uint64_t insts) const
 void
 TraceCore::start()
 {
-    start_tick_ = port_.now();
+    start_tick_ = system_.now();
     ready_time_ = start_tick_;
     dispatch();
 }
@@ -35,7 +39,7 @@ TraceCore::retire(std::uint64_t insts)
 {
     insts_retired_ += insts;
     if (finish_tick_ == 0 && insts_retired_ >= cfg_.inst_budget)
-        finish_tick_ = std::max<Tick>(port_.now(), ready_time_);
+        finish_tick_ = std::max<Tick>(system_.now(), ready_time_);
 }
 
 double
@@ -61,16 +65,44 @@ TraceCore::ipcAt(Tick now) const
 }
 
 void
+TraceCore::install(std::uint64_t addr, bool dirty)
+{
+    fill_.writebacks.clear();
+    caches_.fill(addr, dirty, fill_);
+    for (auto wb : fill_.writebacks)
+        system_.issueWrite(wb, source_);
+}
+
+void
 TraceCore::issuePrefetch(std::uint64_t line_addr)
 {
     const std::uint64_t addr = line_addr * 64;
-    port_.issueRead(addr, source_, [this, addr](Tick) {
-        CacheHierarchy::Result result;
-        caches_.fill(addr, false, result);
-        for (auto wb : result.writebacks)
-            port_.issueWrite(wb, source_);
+    system_.issueRead(addr, source_, [this, addr] {
+        install(addr, false);
         prefetcher_.onFill(addr / 64);
     });
+}
+
+void
+TraceCore::onFill(std::uint64_t addr)
+{
+    const std::uint64_t line = addr / 64;
+    install(addr, false);
+    if (cfg_.enable_prefetcher)
+        prefetcher_.onFill(line);
+    // Detach every waiter of this fill before waking any: a woken load
+    // may miss on the same line again, and that needs a new fill.
+    woken_.clear();
+    std::size_t kept = 0;
+    for (const Waiter &w : waiters_) {
+        if (w.line == line)
+            woken_.push_back(w.inst);
+        else
+            waiters_[kept++] = w;
+    }
+    waiters_.resize(kept);
+    for (auto inst : woken_)
+        onLoadDone(inst);
 }
 
 void
@@ -87,7 +119,7 @@ TraceCore::onLoadDone(std::uint64_t inst_index)
 void
 TraceCore::dispatch()
 {
-    const Tick now = port_.now();
+    const Tick now = system_.now();
     if (ready_time_ < now)
         ready_time_ = now;
 
@@ -99,7 +131,7 @@ TraceCore::dispatch()
         if (ready_time_ > now) {
             if (!wake_pending_) {
                 wake_pending_ = true;
-                port_.schedule(ready_time_ - now, [this] {
+                system_.schedule(ready_time_ - now, [this] {
                     wake_pending_ = false;
                     dispatch();
                 });
@@ -129,36 +161,24 @@ TraceCore::dispatch()
             outstanding_.push_back(last_inst);
             if (result.hit) {
                 const Tick done = ready_time_ + result.latency;
-                port_.schedule(done - now, [this, last_inst] {
+                system_.schedule(done - now, [this, last_inst] {
                     onLoadDone(last_inst);
                 });
             } else {
                 const std::uint64_t addr = entry.addr;
                 const std::uint64_t line = addr / 64;
-                auto pending = pending_fills_.find(line);
-                if (pending != pending_fills_.end()) {
-                    // Coalesce: an MSHR already tracks this line.
-                    pending->second.push_back(last_inst);
-                } else {
-                    pending_fills_[line] = {last_inst};
+                // Coalesce when an MSHR already tracks this line.
+                const bool in_flight = std::any_of(
+                    waiters_.begin(), waiters_.end(),
+                    [line](const Waiter &w) { return w.line == line; });
+                waiters_.push_back({line, last_inst});
+                if (!in_flight) {
                     mem_reads_ += 1;
                     const Tick issue_delay =
                         (ready_time_ - now) + result.latency;
-                    port_.schedule(issue_delay, [this, addr, line] {
-                        port_.issueRead(addr, source_,
-                                        [this, addr, line](Tick) {
-                            CacheHierarchy::Result fill;
-                            caches_.fill(addr, false, fill);
-                            for (auto wb : fill.writebacks)
-                                port_.issueWrite(wb, source_);
-                            if (cfg_.enable_prefetcher)
-                                prefetcher_.onFill(line);
-                            auto waiters = std::move(
-                                pending_fills_[line]);
-                            pending_fills_.erase(line);
-                            for (auto inst : waiters)
-                                onLoadDone(inst);
-                        });
+                    system_.schedule(issue_delay, [this, addr] {
+                        system_.issueRead(addr, source_,
+                                          [this, addr] { onFill(addr); });
                     });
                 }
                 if (cfg_.enable_prefetcher) {
@@ -170,13 +190,10 @@ TraceCore::dispatch()
             }
         } else {
             // Store: write-allocate without a blocking fetch.
-            auto result = caches_.access(entry.addr, true);
-            if (!result.hit) {
-                caches_.fill(entry.addr, true, result);
+            if (!caches_.access(entry.addr, true).hit) {
+                install(entry.addr, true);
                 mem_writes_ += 1;
             }
-            for (auto wb : result.writebacks)
-                port_.issueWrite(wb, source_);
             retire(1);
         }
 

@@ -17,13 +17,11 @@
 #define LEAKY_SYS_CORE_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "sys/cache.hh"
-#include "sys/port.hh"
 #include "sys/prefetcher.hh"
+#include "sys/system.hh"
 
 namespace leaky::sys {
 
@@ -49,7 +47,7 @@ struct CoreConfig {
 class TraceCore
 {
   public:
-    TraceCore(MemoryPort &port, const CoreConfig &cfg,
+    TraceCore(System &system, const CoreConfig &cfg,
               std::vector<TraceEntry> trace, std::int32_t source_id);
 
     /** Begin execution at the current simulation time. */
@@ -80,11 +78,19 @@ class TraceCore
   private:
     void dispatch();
     void onLoadDone(std::uint64_t inst_index);
+    void onFill(std::uint64_t addr);
+    void install(std::uint64_t addr, bool dirty);
     void retire(std::uint64_t insts);
     Tick instTicks(std::uint64_t insts) const;
     void issuePrefetch(std::uint64_t line_addr);
 
-    MemoryPort &port_;
+    /** A load waiting on an in-flight line fill (MSHR coalescing). */
+    struct Waiter {
+        std::uint64_t line;
+        std::uint64_t inst;
+    };
+
+    System &system_;
     CoreConfig cfg_;
     std::vector<TraceEntry> trace_;
     std::int32_t source_;
@@ -95,10 +101,12 @@ class TraceCore
     std::uint64_t insts_dispatched_ = 0;
     std::uint64_t insts_retired_ = 0;
     Tick ready_time_ = 0;           ///< Core-local dispatch clock.
-    std::deque<std::uint64_t> outstanding_; ///< Inst indices of loads.
-    /** MSHR coalescing: line -> inst indices waiting on its fill. */
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
-        pending_fills_;
+    // Flat and reserved to `mshrs` (outstanding loads never exceed
+    // it), so steady-state dispatch does not allocate.
+    std::vector<std::uint64_t> outstanding_; ///< Load insts, oldest first.
+    std::vector<Waiter> waiters_;            ///< In issue order.
+    std::vector<std::uint64_t> woken_;       ///< Scratch for onFill().
+    CacheHierarchy::Result fill_;            ///< Reused writeback list.
     bool wake_pending_ = false;
     Tick start_tick_ = 0;
     Tick finish_tick_ = 0;

@@ -82,26 +82,28 @@ System::defenseBundle(std::uint32_t ch) const
 }
 
 void
-System::setPreventiveListener(std::uint32_t ch,
-                              ctrl::MemoryController::Listener listener)
-{
-    controller(ch).setListener(std::move(listener));
-}
-
-void
 System::run(Tick duration)
 {
     eq_.runUntil(eq_.now() + duration);
 }
 
 void
-System::schedule(Tick delay, std::function<void()> fn)
+System::dispatchPending(PendingSlot &slot)
 {
-    eq_.scheduleAfter(delay, std::move(fn));
+    auto &controller = *ctrls_[slot.req.addr.channel];
+    if (controller.queueFull(slot.req.type)) {
+        eq_.scheduleAfter(slot.retry, cfg_.retry_interval);
+        return;
+    }
+    const bool accepted = controller.enqueue(std::move(slot.req));
+    LEAKY_ASSERT(accepted, "enqueue failed with queue space available");
+    slot.next_free = pending_free_;
+    pending_free_ = slot.self;
 }
 
-System::PendingSlot &
-System::stashRequest(ctrl::Request &&req)
+void
+System::submit(ctrl::Request::Type type, std::uint64_t phys_addr,
+               std::int32_t source, sim::SmallFn &&on_complete)
 {
     if (pending_free_ == kNoSlot) {
         pending_.emplace_back();
@@ -117,56 +119,12 @@ System::stashRequest(ctrl::Request &&req)
     }
     PendingSlot &slot = pending_[pending_free_];
     pending_free_ = slot.next_free;
-    slot.req = std::move(req);
-    return slot;
-}
-
-void
-System::dispatchPending(PendingSlot &slot)
-{
-    auto &controller = *ctrls_[slot.req.addr.channel];
-    if (controller.queueFull(slot.req.type)) {
-        eq_.scheduleAfter(slot.retry, cfg_.retry_interval);
-        return;
-    }
-    const bool accepted = controller.enqueue(std::move(slot.req));
-    LEAKY_ASSERT(accepted, "enqueue failed with queue space available");
-    slot.req = ctrl::Request{};
-    slot.next_free = pending_free_;
-    pending_free_ = slot.self;
-}
-
-void
-System::issueRead(std::uint64_t phys_addr, std::int32_t source,
-                  ReadCallback cb)
-{
-    ctrl::Request req;
-    req.type = ctrl::Request::Type::kRead;
+    ctrl::Request &req = slot.req;
+    req.type = type;
     req.phys_addr = phys_addr;
     req.addr = mapper_.decode(phys_addr);
     req.source = source;
-    const Tick frontend = cfg_.frontend_latency;
-    req.on_complete = [this, cb = std::move(cb),
-                       frontend](Tick done) mutable {
-        // Data still has to travel back to the requestor.
-        eq_.schedule(done + frontend > eq_.now() ? done + frontend
-                                                 : eq_.now(),
-                     [cb = std::move(cb), done,
-                      frontend] { cb(done + frontend); });
-    };
-    PendingSlot &slot = stashRequest(std::move(req));
-    eq_.scheduleAfter(slot.retry, frontend);
-}
-
-void
-System::issueWrite(std::uint64_t phys_addr, std::int32_t source)
-{
-    ctrl::Request req;
-    req.type = ctrl::Request::Type::kWrite;
-    req.phys_addr = phys_addr;
-    req.addr = mapper_.decode(phys_addr);
-    req.source = source;
-    PendingSlot &slot = stashRequest(std::move(req));
+    req.on_complete = std::move(on_complete);
     eq_.scheduleAfter(slot.retry, cfg_.frontend_latency);
 }
 

@@ -1,25 +1,28 @@
 /**
  * @file
  * Top-level simulated system: event queue + N memory channels (each with
- * its own controller and defense instance) + the address mapper, behind
- * the MemoryPort interface. This is the substrate equivalent of the
- * paper's gem5 + Ramulator 2.0 stack (§5.1, Table 1).
+ * its own controller and defense instance) + the address mapper. Cores
+ * and attack agents talk to it directly. This is the substrate
+ * equivalent of the paper's gem5 + Ramulator 2.0 stack (§5.1, Table 1).
  */
 
 #ifndef LEAKY_SYS_SYSTEM_HH
 #define LEAKY_SYS_SYSTEM_HH
 
+#include <cstdint>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "ctrl/controller.hh"
 #include "defense/factory.hh"
 #include "dram/address_mapper.hh"
 #include "sim/event_queue.hh"
-#include "sys/port.hh"
 
 namespace leaky::sys {
+
+using sim::Tick;
 
 /** Whole-system configuration. */
 struct SystemConfig {
@@ -49,7 +52,7 @@ struct SystemConfig {
 };
 
 /** The simulated machine. */
-class System final : public MemoryPort
+class System
 {
   public:
     explicit System(const SystemConfig &cfg);
@@ -71,20 +74,48 @@ class System final : public MemoryPort
     /** Aggregate view: field-wise sum of every channel's stats. */
     ctrl::CtrlStats aggregateStats() const;
 
-    /** Observe preventive actions on a channel (ground truth). */
-    void setPreventiveListener(std::uint32_t ch,
-                               ctrl::MemoryController::Listener listener);
-
     /** Advance simulation by @p duration ticks. */
     void run(Tick duration);
 
-    // MemoryPort
-    Tick now() const override { return eq_.now(); }
-    void schedule(Tick delay, std::function<void()> fn) override;
-    void issueRead(std::uint64_t phys_addr, std::int32_t source,
-                   ReadCallback cb) override;
-    void issueWrite(std::uint64_t phys_addr, std::int32_t source) override;
-    const dram::AddressMapper &mapper() const override { return mapper_; }
+    /** Current simulated time. */
+    Tick now() const { return eq_.now(); }
+
+    /** Run @p fn after @p delay ticks (models compute/sleep phases). */
+    template <typename F>
+    void
+    schedule(Tick delay, F &&fn)
+    {
+        eq_.scheduleAfter(delay, std::forward<F>(fn));
+    }
+
+    /**
+     * Issue a cache-bypassing read (the attacks clflush first, so their
+     * loads are always served by DRAM). Retries transparently when the
+     * controller queue is full. @p on_data fires when the data is back
+     * at the requestor; now() is then the arrival tick.
+     */
+    template <typename F>
+    void
+    issueRead(std::uint64_t phys_addr, std::int32_t source, F &&on_data)
+    {
+        // The controller fires this at the burst end; the data still
+        // has to travel back, one more front-end hop.
+        submit(ctrl::Request::Type::kRead, phys_addr, source,
+               [this, on_data = std::forward<F>(on_data)]() mutable {
+                   eq_.scheduleAfter(cfg_.frontend_latency,
+                                     std::move(on_data));
+               });
+    }
+
+    /** Issue a posted write. */
+    void
+    issueWrite(std::uint64_t phys_addr, std::int32_t source)
+    {
+        submit(ctrl::Request::Type::kWrite, phys_addr, source, {});
+    }
+
+    /** Physical-address <-> DRAM-coordinate mapping. */
+    const dram::AddressMapper &mapper() const { return mapper_; }
 
   private:
     /**
@@ -109,7 +140,10 @@ class System final : public MemoryPort
     };
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-    PendingSlot &stashRequest(ctrl::Request &&req);
+    /** Stash a request in a pending slot and dispatch it one
+     *  front-end hop from now. */
+    void submit(ctrl::Request::Type type, std::uint64_t phys_addr,
+                std::int32_t source, sim::SmallFn &&on_complete);
     /** Try to hand the slot's request to its controller; keep
      *  retrying on a full queue. The slot is freed only once the
      *  enqueue lands. */

@@ -44,7 +44,7 @@ TEST(FingerprintProbe, ObservesVictimBackoffsChannelWide)
     std::function<void()> victim = [&] {
         const auto a = attack::rowAddress(system.mapper(), 0, 0, 0, 0,
                                           served % 2 ? 100u : 200u);
-        system.issueRead(a, 7, [&](sim::Tick) {
+        system.issueRead(a, 7, [&] {
             served += 1;
             system.schedule(15'000, victim);
         });

@@ -52,8 +52,8 @@ class ControllerTest : public ::testing::Test
         Request req;
         req.type = Request::Type::kRead;
         req.addr = a;
-        req.on_complete = [&done](Tick t) { done = t; };
-        EXPECT_TRUE(ctrl_.enqueue(req));
+        req.on_complete = [this, &done] { done = eq_.now(); };
+        EXPECT_TRUE(ctrl_.enqueue(std::move(req)));
         const Tick deadline = eq_.now() + run_for;
         while (!done && eq_.now() < deadline)
             eq_.runUntil(eq_.now() + 1'000);
@@ -102,10 +102,10 @@ TEST_F(ControllerTest, WritesCompleteOnAcceptance)
     Request req;
     req.type = Request::Type::kWrite;
     req.addr = addr(0, 0, 10);
-    req.on_complete = [&completed](Tick) {
+    req.on_complete = [&completed] {
         completed = true;
     };
-    ASSERT_TRUE(ctrl_.enqueue(req));
+    ASSERT_TRUE(ctrl_.enqueue(std::move(req)));
     eq_.runUntil(eq_.now() + 1000);
     EXPECT_TRUE(completed);
 }
@@ -116,12 +116,12 @@ TEST_F(ControllerTest, QueueFullRejectsRequest)
         Request req;
         req.type = Request::Type::kRead;
         req.addr = addr(i % 8, i % 4, i);
-        EXPECT_TRUE(ctrl_.enqueue(req));
+        EXPECT_TRUE(ctrl_.enqueue(std::move(req)));
     }
     Request extra;
     extra.type = Request::Type::kRead;
     extra.addr = addr(0, 0, 12345);
-    EXPECT_FALSE(ctrl_.enqueue(extra));
+    EXPECT_FALSE(ctrl_.enqueue(std::move(extra)));
 }
 
 TEST_F(ControllerTest, IdleSystemRefreshesEveryTrefi)
@@ -141,11 +141,11 @@ TEST_F(ControllerTest, BusyTrafficPostponesThenDoublesRefresh)
         Request req;
         req.type = Request::Type::kRead;
         req.addr = addr(0, 0, served % 2 ? 10 : 20);
-        req.on_complete = [&](Tick) {
+        req.on_complete = [&] {
             served += 1;
             eq_.scheduleAfter(15'000, next);
         };
-        ctrl_.enqueue(req);
+        ctrl_.enqueue(std::move(req));
     };
 
     std::vector<std::pair<Tick, Tick>> refreshes;
@@ -202,12 +202,12 @@ TEST_F(ControllerPracTest, HammeringTriggersBackoffProtocol)
         Request req;
         req.type = Request::Type::kRead;
         req.addr = addr(0, 0, served % 2 ? 100 : 200);
-        req.on_complete = [&](Tick) {
+        req.on_complete = [&] {
             served += 1;
             if (served < 200)
                 eq_.scheduleAfter(15'000, next);
         };
-        ctrl_.enqueue(req);
+        ctrl_.enqueue(std::move(req));
     };
     next();
     eq_.runUntil(100 * leaky::sim::kUs);
@@ -239,12 +239,12 @@ TEST_F(ControllerPracTest, BackoffBlocksRequestsDuringRecovery)
         Request req;
         req.type = Request::Type::kRead;
         req.addr = addr(0, 0, served % 2 ? 100 : 200);
-        req.on_complete = [&](Tick) {
+        req.on_complete = [&] {
             served += 1;
             if (backoff_start == 0)
                 eq_.scheduleAfter(15'000, next);
         };
-        ctrl_.enqueue(req);
+        ctrl_.enqueue(std::move(req));
     };
     next();
     eq_.runUntil(100 * leaky::sim::kUs);
@@ -276,12 +276,12 @@ TEST_F(ControllerTest, PrfmIssuesRfmEveryTrfmActivations)
         Request req;
         req.type = Request::Type::kRead;
         req.addr = addr(0, 0, served % 2 ? 100 : 200);
-        req.on_complete = [&](Tick) {
+        req.on_complete = [&] {
             served += 1;
             if (served < 64)
                 eq_.scheduleAfter(15'000, next);
         };
-        ctrl_.enqueue(req);
+        ctrl_.enqueue(std::move(req));
     };
     next();
     eq_.runUntil(50 * leaky::sim::kUs);
@@ -298,7 +298,7 @@ TEST_F(ControllerTest, WriteDrainingServesWriteBurst)
         Request req;
         req.type = Request::Type::kWrite;
         req.addr = addr(i % 8, i % 4, i % 32);
-        ASSERT_TRUE(ctrl_.enqueue(req));
+        ASSERT_TRUE(ctrl_.enqueue(std::move(req)));
     }
     eq_.runUntil(eq_.now() + 20 * leaky::sim::kUs);
     EXPECT_GE(ctrl_.stats().writes_served,
@@ -339,7 +339,7 @@ TEST_F(ControllerTest, LivelockDetectorTripsOnZeroProgressSpin)
     Request req;
     req.type = Request::Type::kRead;
     req.addr = addr(0, 0, 10);
-    ASSERT_TRUE(ctrl_.enqueue(req));
+    ASSERT_TRUE(ctrl_.enqueue(std::move(req)));
     leaky::dram::AlertInfo info;
     info.bank_scoped = true;
     info.bank = addr(0, 0, 0);
@@ -360,7 +360,7 @@ TEST_F(ControllerTest, SameTickBatchWithZeroGapDoesNotTrip)
         Request req;
         req.type = Request::Type::kRead;
         req.addr = addr(0, 0, 10, static_cast<std::uint32_t>(i));
-        req.on_complete = [&completions](Tick) { completions += 1; };
+        req.on_complete = [&completions] { completions += 1; };
         ASSERT_TRUE(ctrl.enqueue(std::move(req)));
     }
     eq_.runUntil(eq_.now() + 2 * leaky::sim::kUs);
@@ -402,7 +402,7 @@ TEST_F(ControllerTest, SteadyStateServiceDoesNotAllocate)
         req.addr = addr(static_cast<std::uint32_t>(i) % 8,
                         (static_cast<std::uint32_t>(i) / 8) % 4,
                         static_cast<std::uint32_t>(i) % 64);
-        req.on_complete = [&completions](Tick) { completions += 1; };
+        req.on_complete = [&completions] { completions += 1; };
         return ctrl_.enqueue(std::move(req));
     };
 

@@ -89,13 +89,20 @@ TEST(FrRfmSecurity, RfmTimesIndependentOfTraffic)
         sys::SystemConfig cfg =
             sys::SystemConfig::paper(DefenseKind::kFrRfm, 1024);
         sys::System system(cfg);
+        std::vector<Tick> rfm_times;
+        system.controller(0).setListener(
+            [&rfm_times](ctrl::PreventiveEvent ev, Tick start, Tick,
+                         const dram::Address &) {
+                if (ev == ctrl::PreventiveEvent::kRfm)
+                    rfm_times.push_back(start);
+            });
 
         std::uint64_t served = 0;
         std::function<void()> hammer = [&] {
             const auto a = attack::rowAddress(
                 system.mapper(), 0, 0, 0, 0,
                 served % 2 ? 100u : 200u);
-            system.issueRead(a, 0, [&](Tick) {
+            system.issueRead(a, 0, [&] {
                 served += 1;
                 system.schedule(15'000, hammer);
             });
@@ -104,11 +111,10 @@ TEST(FrRfmSecurity, RfmTimesIndependentOfTraffic)
             hammer();
         system.run(20 * sim::kMs);
 
-        const auto *defense =
-            dynamic_cast<const defense::FrRfmDefense *>(
-                system.defenseBundle(0).controller.get());
-        EXPECT_NE(defense, nullptr);
-        return defense->issueTimes();
+        EXPECT_NE(dynamic_cast<const defense::FrRfmDefense *>(
+                      system.defenseBundle(0).controller.get()),
+                  nullptr);
+        return rfm_times;
     };
 
     const auto idle_times = run(false);

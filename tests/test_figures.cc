@@ -64,9 +64,8 @@ TEST(FigureRegistry, ExposesTheFullCatalogue)
          {"latency", "backoff-period", "message-prac", "message-rfm",
           "bitrate", "capacity", "appnoise", "multibit", "rfm-count",
           "action-latency", "fingerprint", "strips", "classifiers",
-          "fingerprint-cv", "cache-prefetch", "threshold",
-          "mitigation", "countermeasures", "counter-leak",
-          "granularity", "trigger", "cross-defense",
+          "cache-prefetch", "threshold", "mitigation", "countermeasures",
+          "counter-leak", "granularity", "trigger", "cross-defense",
           "tracker-threshold", "cross-channel", "channel-scaling",
           "mapping-order", "mapping-recovery", "fuzz-search",
           "fuzz-replay"}) {

@@ -136,6 +136,13 @@ class GrammarTable(unittest.TestCase):
         ("channel_outside_scope_accepted", "src/runner/foo.cc",
          "void f(sys::System &s) { s.controller(0).stats(); }\n",
          []),
+        # ---------------------------- no-std-function-on-memory-path
+        ("std_function_in_ctrl_rejected", "src/ctrl/foo.hh",
+         "struct Request { std::function<void()> on_complete; };\n",
+         ["no-std-function-on-memory-path"]),
+        ("small_fn_in_ctrl_accepted", "src/ctrl/foo.hh",
+         "struct Request { sim::SmallFn on_complete; };\n",
+         []),
         # ------------------------------------------- no-raw-assert
         ("raw_assert_rejected", "src/sim/foo.cc",
          "void f(int x) { assert(x > 0); }\n",

@@ -170,7 +170,7 @@ TEST_F(SchedulerTest, WriteHitPicksWriteCommand)
     chan_.issue(Command::kAct, a, 0);
     QueueEntry e = entry(0, 0, 5, 0);
     e.req.type = Request::Type::kWrite;
-    auto q = queue(e);
+    auto q = queue(std::move(e));
     const auto d = sched_.pick(q, chan_, noneBlocked, cfg_.timing.tRCD);
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(d->cmd, Command::kWr);

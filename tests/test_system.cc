@@ -1,15 +1,22 @@
-/** @file System-level tests: MemoryPort behaviour, routing, retries,
+/** @file System-level tests: the read/write path, routing, retries,
  *  and the multi-channel topology (per-channel stats views, defense
  *  isolation, and the scaling figure family's determinism). */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "attack/dram_addr.hh"
 #include "attack/probe.hh"
+#include "core/experiments.hh"
 #include "defense/factory.hh"
 #include "runner/figures.hh"
 #include "runner/runner.hh"
+#include "sys/core.hh"
 #include "sys/system.hh"
+#include "testing_alloc_counter.hh"
+#include "workload/synthetic.hh"
 
 namespace {
 
@@ -24,7 +31,7 @@ TEST(System, ReadCompletesWithFrontendLatency)
     const auto addr =
         leaky::attack::rowAddress(system.mapper(), 0, 0, 0, 0, 10);
     Tick done = 0;
-    system.issueRead(addr, 0, [&done](Tick t) { done = t; });
+    system.issueRead(addr, 0, [&] { done = system.now(); });
     system.run(leaky::sim::kUs);
     ASSERT_GT(done, 0u);
     const auto &t = system.controller(0).config().dram.timing;
@@ -56,7 +63,7 @@ TEST(System, FullQueueRetriesUntilServed)
         const auto addr = leaky::attack::rowAddress(
             system.mapper(), 0, 0, 0, 0,
             static_cast<std::uint32_t>(i % 2 ? 100 : 200));
-        system.issueRead(addr, 0, [&completions](Tick) {
+        system.issueRead(addr, 0, [&completions] {
             completions += 1;
         });
     }
@@ -74,8 +81,8 @@ TEST(System, MultiChannelRoutesByAddress)
     const auto ch1 =
         leaky::attack::rowAddress(system.mapper(), 1, 0, 0, 0, 10);
     int done = 0;
-    system.issueRead(ch0, 0, [&done](Tick) { done += 1; });
-    system.issueRead(ch1, 0, [&done](Tick) { done += 1; });
+    system.issueRead(ch0, 0, [&done] { done += 1; });
+    system.issueRead(ch1, 0, [&done] { done += 1; });
     system.run(leaky::sim::kUs);
     EXPECT_EQ(done, 2);
     EXPECT_EQ(system.controller(0).stats().reads_served, 1u);
@@ -103,7 +110,7 @@ TEST(System, PerChannelStatsSumToAggregate)
         const auto addr = leaky::attack::rowAddress(
             system.mapper(), i < 4 ? 0 : 1, 0, 0, 0,
             static_cast<std::uint32_t>(10 + i));
-        system.issueRead(addr, 0, [](Tick) {});
+        system.issueRead(addr, 0, [] {});
     }
     system.issueWrite(
         leaky::attack::rowAddress(system.mapper(), 1, 0, 0, 0, 99), 0);
@@ -212,4 +219,72 @@ TEST(System, DefenseBundleAttachedPerChannel)
               system.defenseBundle(1).device.get());
 }
 
+// ---------------------------------------------------------------------
+// Zero-allocation pins for whole systems: once warm, the path from a
+// requestor through the controller and back (schedule, issueRead, the
+// two completion hops, MSHR bookkeeping, cache fills and writebacks)
+// never touches the heap, and no one-shot payload spills.
+
+TEST(SystemAllocation, TraceCoreSystemSteadyStateDoesNotAllocate)
+{
+    // Fig. 13's shape: mix 0's four cores on FR-RFM, NRH = 64, warm
+    // counters, each core with its app's memory-level parallelism.
+    const auto mixes = leaky::workload::makeMixes(3, 4, 42);
+    auto cfg = SystemConfig::paper(DefenseKind::kFrRfm, 64);
+    cfg.defense.warm_counters = true;
+    System system(cfg);
+    std::vector<std::unique_ptr<leaky::sys::TraceCore>> cores;
+    std::int32_t source = 0;
+    for (const auto &app : mixes[0].apps) {
+        leaky::sys::CoreConfig core_cfg;
+        core_cfg.inst_budget = ~std::uint64_t{0} >> 1;
+        core_cfg.mshrs = app.mlp;
+        cores.push_back(std::make_unique<leaky::sys::TraceCore>(
+            system, core_cfg,
+            leaky::workload::generateTrace(app, system.mapper(), 40'000),
+            source++));
+        cores.back()->start();
+    }
+    system.run(2 * leaky::sim::kMs);
+    const auto reads_before = system.stats(0).reads_served;
+
+    const std::uint64_t before = leaky_test_heap_allocs.load();
+    system.run(3 * leaky::sim::kMs);
+    const std::uint64_t after = leaky_test_heap_allocs.load();
+
+    EXPECT_EQ(after, before);
+    EXPECT_GT(system.stats(0).reads_served, reads_before + 1000);
+    EXPECT_EQ(system.eventQueue().kernelStats().one_shot_spills, 0u);
+}
+
+TEST(SystemAllocation, LatencyProbeSteadyStateDoesNotAllocate)
+{
+    // Fig. 2's probe: Listing 1 alternating two rows of one bank under
+    // PRAC, so the measured stretch crosses back-offs and refreshes.
+    System system(leaky::core::pracAttackSystem());
+    leaky::attack::ProbeConfig probe_cfg;
+    probe_cfg.addrs = {
+        leaky::attack::rowAddress(system.mapper(), 0, 0, 0, 0, 1000),
+        leaky::attack::rowAddress(system.mapper(), 0, 0, 0, 0, 2000)};
+    probe_cfg.iterations = 4000;
+    leaky::attack::LatencyProbe probe(system, probe_cfg);
+    bool done = false;
+    probe.start([&done] { done = true; });
+    system.run(100 * leaky::sim::kUs);
+    ASSERT_FALSE(done);
+    const auto reads_before = system.stats(0).reads_served;
+
+    const std::uint64_t before = leaky_test_heap_allocs.load();
+    while (!done)
+        system.run(100 * leaky::sim::kUs);
+    const std::uint64_t after = leaky_test_heap_allocs.load();
+
+    EXPECT_EQ(after, before);
+    EXPECT_EQ(probe.samples().size(), probe_cfg.iterations);
+    EXPECT_GT(system.stats(0).reads_served, reads_before + 1000);
+    EXPECT_GT(system.stats(0).backoffs, 0u);
+    EXPECT_EQ(system.eventQueue().kernelStats().one_shot_spills, 0u);
+}
+
 } // namespace
+

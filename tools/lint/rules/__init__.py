@@ -25,7 +25,7 @@ docs/LINTING.md cross-check cover them:
                      waivers are themselves contract violations
 """
 
-from . import assertions, channels, determinism, signals
+from . import assertions, callables, channels, determinism, signals
 
 #: Rule ids the engine emits without a rule object.
 META_RULE_IDS = ("bad-waiver", "unused-waiver")
@@ -43,6 +43,7 @@ ALL_RULES = (
     determinism.NoAmbientRng(),
     determinism.NoUnorderedIterationInResultPaths(),
     channels.ExplicitChannel(),
+    callables.NoStdFunctionOnMemoryPath(),
     assertions.NoRawAssert(),
     assertions.NoSideEffectDchecks(),
     signals.SignalHandlerSafety(),
