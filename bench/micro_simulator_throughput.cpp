@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the simulation substrate itself:
  * event-queue throughput (one-shot and member-bound reusable events),
  * schedule/cancel churn, DRAM command issue, controller request
- * service, and end-to-end covert-channel window simulation speed.
+ * service, cache-hierarchy lookups, and end-to-end covert-channel
+ * window simulation speed.
  *
  * Besides the console output, a run always writes a JSON report
  * (items/sec per bench) to BENCH_kernel.json -- override the path with
@@ -164,6 +165,34 @@ BM_ControllerRequests(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ControllerRequests)->Unit(benchmark::kMillisecond);
+
+void
+BM_CacheHierarchyAccess(benchmark::State &state)
+{
+    // A fixed seeded stream over 8 MiB of lines (twice the Table 1
+    // LLC), one store in five, replayed as sys::TraceCore drives its
+    // private hierarchy: probe every access, fill every miss.
+    struct Access {
+        std::uint64_t addr;
+        bool is_write;
+    };
+    sim::Rng rng(13);
+    std::vector<Access> stream(1 << 16);
+    for (auto &a : stream)
+        a = {rng.below(std::uint64_t{1} << 17) * 64, rng.chance(0.2)};
+    sys::CacheHierarchy caches(sys::CacheHierarchyConfig::paperDefault());
+    std::uint64_t accesses = 0;
+    for (auto _ : state) {
+        for (const auto &a : stream) {
+            auto result = caches.access(a.addr, a.is_write);
+            if (!result.hit)
+                caches.fill(a.addr, a.is_write, result);
+        }
+        accesses += stream.size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+}
+BENCHMARK(BM_CacheHierarchyAccess);
 
 void
 BM_CovertWindow(benchmark::State &state)

@@ -73,30 +73,48 @@ runUntilDone(sys::System &system, const bool &done, const char *what)
     LEAKY_ASSERT(done, "%s did not terminate", what);
 }
 
+/** Records per generated app trace; cores loop it. */
+constexpr std::uint32_t kTraceRecords = 40'000;
+
+/** One trace per app of @p apps, composed through @p mapper. */
+std::vector<sys::SharedTrace>
+appTraces(const std::vector<workload::AppSpec> &apps,
+          const dram::AddressMapper &mapper)
+{
+    std::vector<sys::SharedTrace> traces;
+    for (const auto &app : apps)
+        traces.push_back(std::make_shared<const std::vector<sys::TraceEntry>>(
+            workload::generateTrace(app, mapper, kTraceRecords)));
+    return traces;
+}
+
 /**
- * Build and start one TraceCore per app, with source ids counting up
- * from @p first_source. @p inst_budget caps each core's retired
- * instructions; @p large_caches swaps in the §10.3 hierarchy and
- * prefetcher. The caller keeps the cores alive while the system runs.
+ * Build and start one TraceCore per app, replaying @p traces (one per
+ * app), with source ids counting up from @p first_source. @p inst_budget
+ * caps each core's retired instructions; @p large_caches swaps in the
+ * §10.3 hierarchy and prefetcher. The caller keeps the cores alive
+ * while the system runs.
  */
 std::vector<std::unique_ptr<sys::TraceCore>>
 startCores(sys::System &system, const std::vector<workload::AppSpec> &apps,
+           const std::vector<sys::SharedTrace> &traces,
            std::uint64_t inst_budget, std::int32_t first_source,
            bool large_caches = false)
 {
+    LEAKY_ASSERT(traces.size() == apps.size(), "%zu traces for %zu apps",
+                 traces.size(), apps.size());
     std::vector<std::unique_ptr<sys::TraceCore>> cores;
     std::int32_t source = first_source;
-    for (const auto &app : apps) {
+    for (std::size_t i = 0; i < apps.size(); ++i) {
         sys::CoreConfig core_cfg;
         core_cfg.inst_budget = inst_budget;
-        core_cfg.mshrs = app.mlp;
+        core_cfg.mshrs = apps[i].mlp;
         if (large_caches) {
             core_cfg.caches = sys::CacheHierarchyConfig::largeHierarchy();
             core_cfg.enable_prefetcher = true;
         }
-        auto trace = workload::generateTrace(app, system.mapper(), 40'000);
         cores.push_back(std::make_unique<sys::TraceCore>(
-            system, core_cfg, std::move(trace), source++));
+            system, core_cfg, traces[i], source++));
         cores.back()->start();
     }
     return cores;
@@ -285,8 +303,9 @@ runChannelOn(sys::System &system, const ChannelRunSpec &spec)
         noise = std::make_unique<attack::NoiseAgent>(system, noise_cfg);
         noise->start();
     }
-    auto background = startCores(system, spec.background, kRunForever,
-                                 kBackgroundSource, spec.large_caches);
+    auto background = startCores(
+        system, spec.background, appTraces(spec.background, system.mapper()),
+        kRunForever, kBackgroundSource, spec.large_caches);
 
     const auto bits = attack::patternBits(
         spec.pattern, spec.message_bytes * 8);
@@ -372,11 +391,13 @@ collectOneFingerprint(const FingerprintSpec &spec, std::uint32_t site,
 
     std::vector<std::unique_ptr<sys::TraceCore>> background;
     if (spec.background_noise) {
-        background = startCores(
-            system,
-            {workload::appsWithIntensity(
-                 workload::Intensity::kMedium)[site % 3]},
-            kRunForever, kBackgroundSource, spec.large_caches);
+        const std::vector<workload::AppSpec> apps = {
+            workload::appsWithIntensity(workload::Intensity::kMedium)
+                [site % 3]};
+        background = startCores(system, apps,
+                                appTraces(apps, system.mapper()),
+                                kRunForever, kBackgroundSource,
+                                spec.large_caches);
     }
 
     // The attacker's probe, placed away from the browser's rows;
@@ -644,23 +665,27 @@ runCoresToBudget(sys::System &system,
 
 constexpr Tick kPerfRunCap = 80 * sim::kMs;
 
-/** Weighted speedup of @p mix on a system with @p kind at @p nrh. */
+/** Weighted speedup of @p mix on a system with @p kind at @p nrh,
+ *  replaying @p base's traces against its alone IPCs. */
 double
 sharedWs(DefenseKind kind, std::uint32_t nrh, const workload::Mix &mix,
-         const std::vector<double> &ipc_alone,
-         std::uint64_t insts_per_core)
+         const PerfBaseline &base, std::uint64_t insts_per_core)
 {
     sys::SystemConfig cfg = sys::SystemConfig::paper(kind, nrh);
     // The performance study models a mid-lifetime slice of a long run:
     // PRAC counters are warm (see defense/prac.hh).
     cfg.defense.warm_counters = true;
     sys::System system(cfg);
-    auto cores = startCores(system, mix.apps, insts_per_core, 0);
+    LEAKY_ASSERT(system.mapper().spec() == base.mapping,
+                 "traces composed through '%s' replayed on '%s'",
+                 base.mapping.str().c_str(),
+                 system.mapper().spec().str().c_str());
+    auto cores = startCores(system, mix.apps, base.traces, insts_per_core, 0);
     runCoresToBudget(system, cores, kPerfRunCap);
     std::vector<double> ipc_shared;
     for (const auto &core : cores)
         ipc_shared.push_back(core->ipcAt(system.now()));
-    return stats::weightedSpeedup(ipc_shared, ipc_alone);
+    return stats::weightedSpeedup(ipc_shared, base.ipc_alone);
 }
 
 } // namespace
@@ -668,17 +693,21 @@ sharedWs(DefenseKind kind, std::uint32_t nrh, const workload::Mix &mix,
 PerfBaseline
 perfBaseline(const workload::Mix &mix, std::uint64_t insts_per_core)
 {
+    // kNone builds no defense, so the NRH passed here is never read.
+    const auto cfg = sys::SystemConfig::paper(DefenseKind::kNone, 1024);
     PerfBaseline base;
-    for (const auto &app : mix.apps) {
-        sys::System system(
-            sys::SystemConfig::paper(DefenseKind::kNone, 1024));
-        auto cores = startCores(system, {app}, insts_per_core, 0);
+    base.mapping = cfg.mapping;
+    base.traces = appTraces(
+        mix.apps,
+        dram::AddressMapper(cfg.ctrl.dram.org, cfg.channels, cfg.mapping));
+    for (std::size_t i = 0; i < mix.apps.size(); ++i) {
+        sys::System system(cfg);
+        auto cores = startCores(system, {mix.apps[i]}, {base.traces[i]},
+                                insts_per_core, 0);
         runCoresToBudget(system, cores, kPerfRunCap);
         base.ipc_alone.push_back(cores[0]->ipcAt(system.now()));
     }
-    // kNone builds no defense, so the NRH passed here is never read.
-    base.ws = sharedWs(DefenseKind::kNone, 1024, mix, base.ipc_alone,
-                       insts_per_core);
+    base.ws = sharedWs(DefenseKind::kNone, 1024, mix, base, insts_per_core);
     return base;
 }
 
@@ -686,8 +715,7 @@ double
 normalizedWs(DefenseKind kind, std::uint32_t nrh, const workload::Mix &mix,
              const PerfBaseline &base, std::uint64_t insts_per_core)
 {
-    const double ws =
-        sharedWs(kind, nrh, mix, base.ipc_alone, insts_per_core);
+    const double ws = sharedWs(kind, nrh, mix, base, insts_per_core);
     return base.ws > 0.0 ? ws / base.ws : 0.0;
 }
 

@@ -275,14 +275,21 @@ runMappingRecoveryCell(const dram::MappingSpec &mapping,
 // ------------------------------------------------------------- Fig. 13
 
 /** A mix's unprotected reference point: everything a Fig. 13 cell
- *  needs that does not depend on the cell's (defense, NRH). */
+ *  needs that does not depend on the cell's (defense, NRH) -- the
+ *  apps' traces, their alone IPCs and the undefended shared WS. */
 struct PerfBaseline {
+    /** Per app, generated once and replayed read-only by the alone
+     *  runs, the undefended shared run and every cell of the mix. */
+    std::vector<sys::SharedTrace> traces;
+    dram::MappingSpec mapping;     ///< What `traces` are composed through.
     std::vector<double> ipc_alone; ///< Per app, run alone, no defense.
     double ws = 0.0;               ///< Shared weighted speedup, no defense.
 };
 
-/** Alone IPCs and undefended shared WS of @p mix. A pure function of
- *  its arguments, so callers may compute it once per mix. */
+/** Traces, alone IPCs and undefended shared WS of @p mix, through the
+ *  paper mapping. A pure function of its arguments, so callers may
+ *  compute it once per mix and share it across threads: cells only
+ *  read it. */
 PerfBaseline perfBaseline(const workload::Mix &mix,
                           std::uint64_t insts_per_core);
 

@@ -530,9 +530,9 @@ MappingFunction::MappingFunction(const Organization &org,
     invert();
 
     // Plain-field fast path: a field whose forward rows are one
-    // contiguous identity run decodes with a shift+mask and composes
-    // with a shift+or; every preset/order mapping is all-plain, which
-    // keeps the legacy family's decode cost unchanged.
+    // contiguous identity run decodes with a shift+mask; when every
+    // field is plain (every preset/order mapping) the fields own
+    // disjoint line bits, so compose is a shift+or per field.
     for (Field f : kCanonicalFields) {
         const std::size_t fi = indexOf(f);
         plain_shift_[fi] = -1;
@@ -556,6 +556,8 @@ MappingFunction::MappingFunction(const Organization &org,
         if (plain)
             plain_shift_[fi] = shift;
     }
+    all_plain_ = std::all_of(plain_shift_.begin(), plain_shift_.end(),
+                             [](std::int32_t shift) { return shift >= 0; });
 }
 
 void
@@ -732,8 +734,14 @@ MappingFunction::composeLine(const Address &addr) const
         }
         LEAKY_ASSERT(digit < fieldSize(f), "field %d out of range",
                      static_cast<int>(f));
-        coords |= std::uint64_t{digit} << offsets_[indexOf(f)];
+        // All plain: each digit lands straight on its line bits.
+        const std::uint32_t shift =
+            all_plain_ ? static_cast<std::uint32_t>(plain_shift_[indexOf(f)])
+                       : offsets_[indexOf(f)];
+        coords |= std::uint64_t{digit} << shift;
     }
+    if (all_plain_)
+        return coords;
     std::uint64_t line = 0;
     for (std::uint32_t i = 0; i < total_bits_; ++i)
         line |= std::uint64_t{parity(inv_[i] & coords)} << i;

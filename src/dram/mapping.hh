@@ -309,6 +309,9 @@ class MappingFunction
      *  identity run (every preset/order mapping), decode is a single
      *  shift+mask instead of width parity reductions. */
     std::array<std::int32_t, kNumFields> plain_shift_{};
+    /** Every field is plain: compose ORs each digit in at its shift
+     *  instead of running the inverse parity rows. */
+    bool all_plain_ = false;
 };
 
 } // namespace leaky::dram

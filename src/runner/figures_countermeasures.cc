@@ -93,7 +93,9 @@ thresholdFigure()
 
 // ----------------------------------------------------------- Fig. 13
 
-/** One mix's baseline, filled by whichever job needs it first. */
+/** One mix's baseline -- its traces, alone IPCs and undefended WS --
+ *  filled by whichever job needs it first; every job of the mix then
+ *  replays the same read-only traces. */
 struct BaselineSlot {
     std::once_flag once;
     core::PerfBaseline base;
@@ -131,9 +133,10 @@ mitigationFigure()
         // Mix generation is a pure function of the base seed: build
         // the Fig.-13 workload set once and share it across jobs.
         const auto all_mixes = workload::makeMixes(mixes, 4, seed);
-        // A mix's baseline does not depend on (defense, NRH), so the
-        // first job of each mix computes it and the rest reuse it.
-        // Filled inside jobs, never here, so it runs in parallel.
+        // A mix's baseline (traces included) does not depend on
+        // (defense, NRH), so the first job of each mix computes it and
+        // the rest reuse it. Filled inside jobs, never here, so it
+        // runs in parallel.
         auto baselines = std::make_shared<std::vector<BaselineSlot>>(mixes);
         spec.job = [all_mixes, baselines, insts](const Job &job) -> JobRows {
             const auto m = static_cast<std::size_t>(job.param("mix"));

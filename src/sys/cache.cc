@@ -1,7 +1,5 @@
 #include "sys/cache.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace leaky::sys {
@@ -13,108 +11,112 @@ CacheLevel::CacheLevel(const CacheLevelConfig &cfg) : cfg_(cfg)
     sets_ = static_cast<std::uint32_t>(
         cfg.size_bytes / (static_cast<std::uint64_t>(cfg.ways) *
                           cfg.line_bytes));
-    lines_.resize(static_cast<std::size_t>(sets_) * cfg.ways);
+    if ((sets_ & (sets_ - 1)) == 0)
+        set_shift_ = __builtin_ctz(sets_);
+    const std::size_t ways_total = static_cast<std::size_t>(sets_) * cfg.ways;
+    tags_.assign(ways_total, 0);
+    lru_.assign(ways_total, 0);
+    dirty_.assign(ways_total, 0);
 }
 
 std::size_t
-CacheLevel::setIndex(std::uint64_t line_addr) const
+CacheLevel::setOf(std::uint64_t line_addr) const
 {
-    return static_cast<std::size_t>(line_addr % sets_);
+    return static_cast<std::size_t>(
+        set_shift_ >= 0 ? line_addr & (sets_ - 1) : line_addr % sets_);
 }
 
 std::uint64_t
-CacheLevel::tagOf(std::uint64_t line_addr) const
+CacheLevel::keyOf(std::uint64_t line_addr) const
 {
-    return line_addr / sets_;
+    const std::uint64_t tag =
+        set_shift_ >= 0 ? line_addr >> set_shift_ : line_addr / sets_;
+    LEAKY_ASSERT(tag < kValid, "tag of line %llu reaches the valid bit",
+                 static_cast<unsigned long long>(line_addr));
+    return tag | kValid;
+}
+
+std::uint32_t
+CacheLevel::find(std::size_t base, std::uint64_t key) const
+{
+    const std::uint64_t *set = &tags_[base];
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w)
+        if (set[w] == key)
+            return w;
+    return cfg_.ways;
 }
 
 bool
 CacheLevel::access(std::uint64_t line_addr, bool is_write)
 {
-    const auto set = setIndex(line_addr);
-    const auto tag = tagOf(line_addr);
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        Line &line = lines_[set * cfg_.ways + w];
-        if (line.valid && line.tag == tag) {
-            line.lru = ++lru_clock_;
-            line.dirty = line.dirty || is_write;
-            hits_ += 1;
-            return true;
-        }
+    const auto base = setOf(line_addr) * cfg_.ways;
+    const auto w = find(base, keyOf(line_addr));
+    if (w == cfg_.ways) {
+        misses_ += 1;
+        return false;
     }
-    misses_ += 1;
-    return false;
+    lru_[base + w] = ++lru_clock_;
+    dirty_[base + w] |= is_write;
+    hits_ += 1;
+    return true;
 }
 
 CacheLevel::Eviction
 CacheLevel::insert(std::uint64_t line_addr, bool dirty)
 {
-    const auto set = setIndex(line_addr);
-    const auto tag = tagOf(line_addr);
+    const auto set = setOf(line_addr);
+    const auto base = set * cfg_.ways;
+    const auto key = keyOf(line_addr);
     // If the line is already present (e.g., refilled by another path),
     // just refresh it.
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        Line &line = lines_[set * cfg_.ways + w];
-        if (line.valid && line.tag == tag) {
-            line.dirty = line.dirty || dirty;
-            line.lru = ++lru_clock_;
-            return {};
-        }
+    if (const auto w = find(base, key); w != cfg_.ways) {
+        dirty_[base + w] |= dirty;
+        lru_[base + w] = ++lru_clock_;
+        return {};
     }
-    // Victim: first invalid way, otherwise the least recently used.
-    Line *victim = nullptr;
+    // Victim: first invalid way, otherwise the least recently used
+    // (the earliest way on a tie).
+    std::uint32_t victim = cfg_.ways;
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        Line &line = lines_[set * cfg_.ways + w];
-        if (!line.valid) {
-            victim = &line;
+        if (!(tags_[base + w] & kValid)) {
+            victim = w;
             break;
         }
-        if (!victim || line.lru < victim->lru)
-            victim = &line;
+        if (victim == cfg_.ways || lru_[base + w] < lru_[base + victim])
+            victim = w;
     }
-    LEAKY_ASSERT(victim != nullptr, "no victim way found");
+    LEAKY_ASSERT(victim != cfg_.ways, "no victim way found");
 
+    const std::size_t i = base + victim;
     Eviction ev;
-    if (victim->valid) {
+    if (tags_[i] & kValid) {
         ev.valid = true;
-        ev.dirty = victim->dirty;
-        ev.line_addr = victim->tag * sets_ + set;
+        ev.dirty = dirty_[i] != 0;
+        ev.line_addr = (tags_[i] & ~kValid) * sets_ + set;
     }
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->tag = tag;
-    victim->lru = ++lru_clock_;
+    tags_[i] = key;
+    dirty_[i] = dirty;
+    lru_[i] = ++lru_clock_;
     return ev;
 }
 
 bool
 CacheLevel::flush(std::uint64_t line_addr)
 {
-    const auto set = setIndex(line_addr);
-    const auto tag = tagOf(line_addr);
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        Line &line = lines_[set * cfg_.ways + w];
-        if (line.valid && line.tag == tag) {
-            const bool dirty = line.dirty;
-            line.valid = false;
-            line.dirty = false;
-            return dirty;
-        }
-    }
-    return false;
+    const auto base = setOf(line_addr) * cfg_.ways;
+    const auto w = find(base, keyOf(line_addr));
+    if (w == cfg_.ways)
+        return false;
+    const bool dirty = dirty_[base + w] != 0;
+    tags_[base + w] = 0;
+    dirty_[base + w] = 0;
+    return dirty;
 }
 
 bool
 CacheLevel::contains(std::uint64_t line_addr) const
 {
-    const auto set = setIndex(line_addr);
-    const auto tag = tagOf(line_addr);
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        const Line &line = lines_[set * cfg_.ways + w];
-        if (line.valid && line.tag == tag)
-            return true;
-    }
-    return false;
+    return find(setOf(line_addr) * cfg_.ways, keyOf(line_addr)) != cfg_.ways;
 }
 
 CacheHierarchyConfig

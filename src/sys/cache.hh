@@ -58,19 +58,27 @@ class CacheLevel
     std::uint64_t misses() const { return misses_; }
 
   private:
-    struct Line {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lru = 0;
-    };
+    /** Set in every valid way's tag word; an invalid way's word is 0,
+     *  so a hit is one compare of the word against tag | kValid. */
+    static constexpr std::uint64_t kValid = std::uint64_t{1} << 63;
 
-    std::size_t setIndex(std::uint64_t line_addr) const;
-    std::uint64_t tagOf(std::uint64_t line_addr) const;
+    std::size_t setOf(std::uint64_t line_addr) const;
+    /** @p line_addr's tag word as a valid way would hold it. */
+    std::uint64_t keyOf(std::uint64_t line_addr) const;
+    /** Way holding @p key in the set starting at @p base, or ways. */
+    std::uint32_t find(std::size_t base, std::uint64_t key) const;
 
     CacheLevelConfig cfg_;
     std::uint32_t sets_;
-    std::vector<Line> lines_; ///< sets_ x ways, flattened.
+    /** log2(sets_) when sets_ is a power of two (the paper's L1 and
+     *  LLC), so set and tag are a mask and a shift; -1 otherwise (the
+     *  §10.3 6 MiB LLC), which divides. */
+    int set_shift_ = -1;
+    // Structure of arrays, sets_ x ways each, flattened: a lookup
+    // scans only the dense tag words of one set.
+    std::vector<std::uint64_t> tags_; ///< tag | kValid, or 0 if invalid.
+    std::vector<std::uint64_t> lru_;  ///< Stamp of the last touch.
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t lru_clock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -7,15 +7,25 @@
 namespace leaky::sys {
 
 TraceCore::TraceCore(System &system, const CoreConfig &cfg,
-                     std::vector<TraceEntry> trace, std::int32_t source_id)
+                     SharedTrace trace, std::int32_t source_id)
     : system_(system), cfg_(cfg), trace_(std::move(trace)),
       source_(source_id), caches_(cfg.caches)
 {
-    LEAKY_ASSERT(!trace_.empty(), "core %d has an empty trace", source_id);
+    LEAKY_ASSERT(trace_ && !trace_->empty(), "core %d has an empty trace",
+                 source_id);
     outstanding_.reserve(cfg_.mshrs);
     waiters_.reserve(cfg_.mshrs);
     woken_.reserve(cfg_.mshrs);
     fill_.writebacks.reserve(1); // Only the LLC victim is written back.
+}
+
+TraceCore::TraceCore(System &system, const CoreConfig &cfg,
+                     std::vector<TraceEntry> trace, std::int32_t source_id)
+    : TraceCore(system, cfg,
+                std::make_shared<const std::vector<TraceEntry>>(
+                    std::move(trace)),
+                source_id)
+{
 }
 
 Tick
@@ -139,7 +149,7 @@ TraceCore::dispatch()
             return;
         }
 
-        const TraceEntry &entry = trace_[trace_pos_];
+        const TraceEntry &entry = (*trace_)[trace_pos_];
         const std::uint64_t last_inst =
             insts_dispatched_ + entry.non_mem_insts + 1;
 
@@ -198,7 +208,8 @@ TraceCore::dispatch()
         }
 
         insts_dispatched_ = last_inst;
-        trace_pos_ = (trace_pos_ + 1) % trace_.size();
+        if (++trace_pos_ == trace_->size())
+            trace_pos_ = 0;
     }
 }
 

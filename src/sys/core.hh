@@ -17,6 +17,7 @@
 #define LEAKY_SYS_CORE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sys/cache.hh"
@@ -27,10 +28,15 @@ namespace leaky::sys {
 
 /** One trace record: compute burst followed by one memory access. */
 struct TraceEntry {
-    std::uint32_t non_mem_insts = 0;
     std::uint64_t addr = 0;
+    std::uint32_t non_mem_insts = 0;
     bool is_write = false;
 };
+static_assert(sizeof(TraceEntry) == 16, "a trace record is 16 bytes");
+
+/** An immutable trace that any number of cores replay at once (the
+ *  Fig. 13 cells of one mix share one copy per app). */
+using SharedTrace = std::shared_ptr<const std::vector<TraceEntry>>;
 
 /** Core model parameters (paper Table 1: 4-wide OoO at 3 GHz). */
 struct CoreConfig {
@@ -47,6 +53,11 @@ struct CoreConfig {
 class TraceCore
 {
   public:
+    /** Replay @p trace, which the core shares and never modifies. */
+    TraceCore(System &system, const CoreConfig &cfg, SharedTrace trace,
+              std::int32_t source_id);
+
+    /** Replay a trace of the core's own. */
     TraceCore(System &system, const CoreConfig &cfg,
               std::vector<TraceEntry> trace, std::int32_t source_id);
 
@@ -92,7 +103,7 @@ class TraceCore
 
     System &system_;
     CoreConfig cfg_;
-    std::vector<TraceEntry> trace_;
+    SharedTrace trace_;
     std::int32_t source_;
     CacheHierarchy caches_;
     BestOffsetPrefetcher prefetcher_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "sim/rng.hh"
 #include "sys/cache.hh"
 
 namespace {
@@ -69,6 +72,132 @@ TEST(CacheLevel, FlushReportsDirtiness)
     EXPECT_FALSE(cache.flush(3)); // Already gone.
     cache.insert(3, false);
     EXPECT_FALSE(cache.flush(3)); // Clean flush.
+}
+
+/** Naive array-of-structs LRU cache: the reference CacheLevel's
+ *  structure-of-arrays layout must behave exactly like. */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(std::uint32_t sets, std::uint32_t ways)
+        : sets_(sets), ways_(ways), lines_(sets * ways)
+    {
+    }
+
+    bool
+    access(std::uint64_t line_addr, bool is_write)
+    {
+        Line *line = find(line_addr);
+        if (!line)
+            return false;
+        line->lru = ++clock_;
+        line->dirty = line->dirty || is_write;
+        return true;
+    }
+
+    CacheLevel::Eviction
+    insert(std::uint64_t line_addr, bool dirty)
+    {
+        if (Line *line = find(line_addr)) {
+            line->dirty = line->dirty || dirty;
+            line->lru = ++clock_;
+            return {};
+        }
+        const std::uint64_t set = line_addr % sets_;
+        Line *victim = nullptr;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            Line &line = lines_[set * ways_ + w];
+            if (!line.valid) {
+                victim = &line;
+                break;
+            }
+            if (!victim || line.lru < victim->lru)
+                victim = &line;
+        }
+        CacheLevel::Eviction ev;
+        if (victim->valid)
+            ev = {true, victim->dirty, victim->tag * sets_ + set};
+        *victim = {line_addr / sets_, true, dirty, ++clock_};
+        return ev;
+    }
+
+    bool
+    flush(std::uint64_t line_addr)
+    {
+        Line *line = find(line_addr);
+        if (!line)
+            return false;
+        const bool dirty = line->dirty;
+        *line = {};
+        return dirty;
+    }
+
+    bool contains(std::uint64_t line_addr) { return find(line_addr); }
+
+  private:
+    struct Line {
+        std::uint64_t tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t lru = 0;
+    };
+
+    Line *
+    find(std::uint64_t line_addr)
+    {
+        const std::uint64_t set = line_addr % sets_;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            Line &line = lines_[set * ways_ + w];
+            if (line.valid && line.tag == line_addr / sets_)
+                return &line;
+        }
+        return nullptr;
+    }
+
+    std::uint64_t sets_;
+    std::uint32_t ways_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+TEST(CacheLevel, MatchesArrayOfStructsReference)
+{
+    // Power-of-two sets (mask and shift) and 6 sets (division), as the
+    // paper's L1/LLC and the §10.3 6 MiB LLC index theirs.
+    for (const std::uint32_t sets : {8u, 6u}) {
+        constexpr std::uint32_t kWays = 4;
+        CacheLevel cache(tinyCache(kWays, sets * kWays));
+        ReferenceCache reference(sets, kWays);
+        leaky::sim::Rng rng(31 + sets);
+        std::uint64_t hits = 0, misses = 0;
+        for (int op = 0; op < 20'000; ++op) {
+            // Three lines per way slot keep every set contended.
+            const std::uint64_t line = rng.below(sets * kWays * 3);
+            const bool flag = rng.chance(0.3);
+            const std::uint64_t kind = rng.below(10);
+            SCOPED_TRACE(testing::Message() << "sets " << sets << " op "
+                                            << op << " line " << line);
+            if (kind < 4) {
+                const bool hit = reference.access(line, flag);
+                ASSERT_EQ(cache.access(line, flag), hit);
+                (hit ? hits : misses) += 1;
+            } else if (kind < 7) {
+                const auto want = reference.insert(line, flag);
+                const auto got = cache.insert(line, flag);
+                ASSERT_EQ(got.valid, want.valid);
+                ASSERT_EQ(got.dirty, want.dirty);
+                ASSERT_EQ(got.line_addr, want.line_addr);
+            } else if (kind < 9) {
+                ASSERT_EQ(cache.flush(line), reference.flush(line));
+            } else {
+                ASSERT_EQ(cache.contains(line), reference.contains(line));
+            }
+        }
+        EXPECT_EQ(cache.hits(), hits);
+        EXPECT_EQ(cache.misses(), misses);
+        EXPECT_GT(hits, 1'000u);
+        EXPECT_GT(misses, 1'000u);
+    }
 }
 
 TEST(CacheHierarchy, MissProbesAllLevelsAndFills)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "defense/factory.hh"
 #include "sys/core.hh"
 #include "sys/system.hh"
@@ -122,6 +125,50 @@ TEST_F(TraceCoreTest, IpcAtTracksPartialProgress)
     system_.run(200 * leaky::sim::kUs);
     EXPECT_FALSE(core.budgetDone());
     EXPECT_GT(core.ipcAt(system_.now()), 0.0);
+}
+
+TEST_F(TraceCoreTest, SharedTraceReplaysLikeAnOwnedCopy)
+{
+    // A 256 KiB working set with every fifth record a store: cold
+    // misses, writebacks and LLC hits on later passes.
+    std::vector<TraceEntry> trace;
+    for (std::uint64_t i = 0; i < 4096; ++i) {
+        TraceEntry e;
+        e.non_mem_insts = 20;
+        e.addr = (i * 8192 + 64) % (1u << 18);
+        e.is_write = i % 5 == 0;
+        trace.push_back(e);
+    }
+    struct Outcome {
+        std::uint64_t retired, reads, writes;
+        Tick finish;
+        std::vector<std::uint64_t> misses;
+    };
+    const auto replay = [](auto core_trace) {
+        System system(SystemConfig::paper(DefenseKind::kNone));
+        CoreConfig cfg;
+        cfg.inst_budget = 100'000;
+        TraceCore core(system, cfg, std::move(core_trace), 0);
+        core.start();
+        system.run(3 * leaky::sim::kMs);
+        Outcome out{core.instsRetired(), core.memReads(), core.memWrites(),
+                    core.finishTick(), {}};
+        for (std::size_t l = 0; l < core.caches().numLevels(); ++l)
+            out.misses.push_back(core.caches().level(l).misses());
+        return out;
+    };
+    const Outcome owned = replay(trace);
+    const auto shared =
+        std::make_shared<const std::vector<TraceEntry>>(trace);
+    const Outcome replayed = replay(shared);
+    EXPECT_EQ(replayed.retired, owned.retired);
+    EXPECT_EQ(replayed.reads, owned.reads);
+    EXPECT_EQ(replayed.writes, owned.writes);
+    EXPECT_EQ(replayed.finish, owned.finish);
+    EXPECT_EQ(replayed.misses, owned.misses);
+    EXPECT_GT(owned.finish, 0u);
+    EXPECT_GT(owned.writes, 0u);
+    EXPECT_EQ(shared.use_count(), 1); // The core kept no reference.
 }
 
 TEST_F(TraceCoreTest, WritesArePosted)

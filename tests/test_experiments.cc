@@ -84,6 +84,37 @@ TEST(Experiments, NoDefenseCellIsExactlyUnityAtAnyNrh)
             << "nrh=" << nrh;
 }
 
+TEST(Experiments, PerfBaselineSharesItsTraces)
+{
+    // A mix's traces are generated once, through the paper mapping,
+    // and every cell replays them read-only.
+    const auto mix = workload::makeMixes(1, 4, 42)[0];
+    const auto base = core::perfBaseline(mix, 10'000);
+    const auto cfg = sys::SystemConfig::paper(defense::DefenseKind::kNone);
+    const dram::AddressMapper mapper(cfg.ctrl.dram.org, cfg.channels,
+                                     cfg.mapping);
+    EXPECT_EQ(base.mapping, cfg.mapping);
+    ASSERT_EQ(base.traces.size(), mix.apps.size());
+    for (std::size_t a = 0; a < mix.apps.size(); ++a) {
+        const auto want = workload::generateTrace(mix.apps[a], mapper,
+                                                  40'000);
+        const auto &got = *base.traces[a];
+        ASSERT_EQ(got.size(), want.size()) << mix.apps[a].name;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i].addr, want[i].addr) << "record " << i;
+            ASSERT_EQ(got[i].non_mem_insts, want[i].non_mem_insts);
+            ASSERT_EQ(got[i].is_write, want[i].is_write);
+        }
+    }
+    const auto cell = [&] {
+        return core::normalizedWs(defense::DefenseKind::kPrac, 64, mix,
+                                  base, 10'000);
+    };
+    EXPECT_EQ(cell(), cell());
+    for (const auto &trace : base.traces)
+        EXPECT_EQ(trace.use_count(), 1); // No cell kept or copied it.
+}
+
 TEST(Experiments, DefenseCostsPerformanceAtLowNrh)
 {
     const auto mixes = workload::makeMixes(2, 4, 42);

@@ -238,6 +238,41 @@ TEST(MappingFunction, RandomInvertibleMatricesRoundTrip)
     }
 }
 
+TEST(MappingFunction, BothComposePathsInvertDecode)
+{
+    // composeLine ORs each digit in at its shift when every field is
+    // plain (order: and presets) and solves the inverse parity rows
+    // otherwise (an xor: folding row bits into bank bits); pin both.
+    Organization org;
+    for (const char *text :
+         {"order:ba,col,ra,bg,row,ch",
+          "xor:col=6:12;bg=13+19,14+20,15+21;ba=16+22,17+23;ra=18;"
+          "row=19:35;ch=36+6"}) {
+        SCOPED_TRACE(text);
+        const MappingFunction fn(org, 2, MappingSpec::parse(text));
+        leaky::sim::Rng rng(99);
+        for (int i = 0; i < 10'000; ++i) {
+            const std::uint64_t line =
+                rng.below(std::uint64_t{1} << fn.totalBits());
+            ASSERT_EQ(fn.composeLine(fn.decodeLine(line)), line);
+
+            Address addr;
+            addr.channel = static_cast<std::uint32_t>(rng.below(2));
+            addr.rank = static_cast<std::uint32_t>(rng.below(org.ranks));
+            addr.bankgroup =
+                static_cast<std::uint32_t>(rng.below(org.bankgroups));
+            addr.bank = static_cast<std::uint32_t>(
+                rng.below(org.banks_per_group));
+            addr.row = static_cast<std::uint32_t>(rng.below(org.rows));
+            addr.column =
+                static_cast<std::uint32_t>(rng.below(org.columns));
+            const Address back = fn.decodeLine(fn.composeLine(addr));
+            ASSERT_TRUE(back.sameRow(addr));
+            ASSERT_EQ(back.column, addr.column);
+        }
+    }
+}
+
 TEST(MappingFunctionDeath, RejectsNonInvertibleSpecs)
 {
     Organization org;
