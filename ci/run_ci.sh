@@ -10,6 +10,7 @@
 #                           smoke, halt on any data-race report
 #   BUILD_VARIANT=release   Release -DLEAKY_DCHECKS=OFF + the
 #                           bench-regression guard (tools/check_bench.py)
+#                           + the figbench self-test
 #   BUILD_VARIANT=lint      static passes only, no build: leaky-lint
 #                           (tools/lint/leaky_lint.py; exit 2 = lint
 #                           violations, 3 = lint tool error) + advisory
@@ -35,7 +36,7 @@ usage() {
     echo "  default   -O2 -g, LEAKY_DCHECK on (the dev build)" >&2
     echo "  asan      ASan + UBSan, halt on any report" >&2
     echo "  tsan      ThreadSanitizer, halt on any data race" >&2
-    echo "  release   Release, checks off, bench-regression guard" >&2
+    echo "  release   Release, checks off, bench guard, figbench self-test" >&2
     echo "  lint      leaky-lint + advisory clang-tidy (no build)" >&2
 }
 
@@ -164,4 +165,12 @@ if [ -x "$BUILD_DIR/bench/micro_simulator_throughput" ]; then
     fi
 else
     echo "google-benchmark not found; kernel bench harness skipped"
+fi
+
+# figbench self-test (release variant only): figbench builds its own
+# copy of the simulator library and reads kernel and layer counters
+# from outside, so a change to a type it reads must fail here rather
+# than first in a benchmark run. It builds into $BUILD_DIR/figbench.
+if [ "$BUILD_VARIANT" = release ]; then
+    CARGO_TARGET_DIR="$BUILD_DIR" python3 figbench/run.py --self-test
 fi

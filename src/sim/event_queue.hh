@@ -5,9 +5,8 @@
  * order so simulations are fully deterministic.
  *
  * The kernel is intrusive and slab-allocated: every scheduled occurrence
- * lives in a pooled Record (chunked slab, stable addresses, free-list
- * reuse) identified by a generation-counted handle, and a binary heap of
- * record indices orders execution. Steady-state scheduling performs no
+ * lives in a pooled Record (stable index, free-list reuse) identified
+ * by a generation-counted handle. Steady-state scheduling performs no
  * heap allocation:
  *
  *  - reusable, member-bound Events (see sim::Event) carry only an
@@ -15,27 +14,22 @@
  *  - one-shot callables are stored in a small-buffer SmallFn; only
  *    captures larger than SmallFn::kInlineBytes spill to the heap
  *    (counted in KernelStats::one_shot_spills);
- *  - cancellation bumps the record's generation instead of erasing from
- *    a map; stale heap entries are skipped lazily at pop time.
+ *  - cancellation unlinks the record at once and bumps its generation,
+ *    so stale handles are refused instead of looked up in a map.
  *
- * Ordering is maintained by two structures that agree on one global
- * (tick, seq) total order:
- *
- *  - a hierarchical timing wheel (6 levels x 256 slots of 8 bits each,
- *    covering any deadline within 2^48 ticks of the wheel's reference
- *    time) gives O(1) schedule and cancel for the overwhelming
- *    majority of events — controller self-clocks, refresh and ABO
- *    timers, request retries;
- *  - the binary heap remains as the fallback for deadlines outside
- *    the wheel's range, and for events scheduled below the wheel's
- *    reference time after it has been advanced ahead of now().
- *
- * The pop path merges both sources exactly: a level-0 wheel slot holds
- * events of one identical tick in ascending seq order (appends and
- * cascades both preserve insertion order), so comparing the slot head
- * against the heap top by (tick, seq) reproduces the single-heap
- * execution order bit for bit. See docs/ARCHITECTURE.md ("Controller
- * hot loop") for the invariant argument.
+ * Order comes from one indexed 4-ary min-heap of same-tick runs. A run
+ * is an intrusive FIFO of live records that share one tick, in
+ * schedule order. A schedule appends to the newest run of its tick,
+ * found through a small fixed tick->run index, or starts a new run
+ * with the next seq; the heap keys each run by (tick, start seq). Only
+ * the newest run of a tick ever grows, so everything in an older run
+ * of a tick was scheduled before everything in a newer one, and
+ * draining the root run head first is exactly the global (tick,
+ * schedule order) order. Popping or cancelling a record re-keys
+ * nothing; only starting, moving or emptying a run touches the heap,
+ * so a same-tick storm (thousands of retries on one tick) is O(1) per
+ * pop. See docs/ARCHITECTURE.md ("Event order: a heap of same-tick
+ * runs").
  */
 
 #ifndef LEAKY_SIM_EVENT_QUEUE_HH
@@ -243,8 +237,8 @@ memberEvent(T *obj)
 /**
  * Deterministic discrete-event queue.
  *
- * Events with equal ticks run in schedule order. Cancellation bumps the
- * slot's generation; stale heap entries are skipped when popped.
+ * Events with equal ticks run in schedule order. Cancellation unlinks
+ * the occurrence and bumps its slot's generation.
  */
 class EventQueue
 {
@@ -254,9 +248,12 @@ class EventQueue
         std::uint64_t events_run = 0;      ///< Callbacks executed.
         std::uint64_t one_shot_spills = 0; ///< Captures too big for SBO.
         std::uint64_t pool_chunks = 0;     ///< Slab chunks allocated.
-        std::uint64_t wheel_events = 0;    ///< Scheduled via the wheel.
-        std::uint64_t heap_events = 0;     ///< Heap-fallback schedules.
-        std::uint64_t wheel_cascades = 0;  ///< Entries moved by cascades.
+        /** Always 0: the kernel has no heap fallback any more. Kept
+         *  while figbench still reports it as sim.heap_events. */
+        std::uint64_t heap_events = 0;
+        /** Always 0: the kernel has no timing wheel any more. Kept
+         *  while figbench still reports it as sim.wheel_cascades. */
+        std::uint64_t wheel_cascades = 0;
     };
 
     EventQueue() = default;
@@ -345,50 +342,74 @@ class EventQueue
     void run() { runUntil(kTickMax); }
 
     /** Tick of the next live event, or kTickMax when empty. */
-    Tick nextEventTick() const;
+    Tick
+    nextEventTick() const
+    {
+        return heap_.empty() ? kTickMax : heap_.front().when;
+    }
 
     const KernelStats &kernelStats() const { return stats_; }
 
     /** Total slots in the slab (grows in chunks, never shrinks). */
     std::size_t poolCapacity() const { return slab_.size(); }
 
+    /** Slot of @p when in the tick->run index. Two live ticks that
+     *  share a slot each keep their own run; only the later one is
+     *  found by appends. Public so tests can aim at a shared slot. */
+    static std::uint32_t
+    runIndexSlot(Tick when)
+    {
+        // Fibonacci hashing: the top bits of a golden-ratio product
+        // spread multiples of tCK (416 = 13 x 32 ticks) over every
+        // slot, where the low bits alone would use one slot in eight.
+        return static_cast<std::uint32_t>(
+            (when * 0x9E3779B97F4A7C15ull) >> (64 - kIndexBits));
+    }
+
   private:
     static constexpr std::uint32_t kChunkSize = 256; ///< Pool growth step.
-    static constexpr std::uint32_t kNoFreeSlot = ~std::uint32_t{0};
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
     /** next_free value marking a live (allocated) record. */
-    static constexpr std::uint32_t kLiveMark = kNoFreeSlot - 1;
+    static constexpr std::uint32_t kLiveMark = kNone - 1;
+    static constexpr int kIndexBits = 8; ///< 256-slot tick->run index.
 
     /**
-     * One pooled occurrence. For heap-routed events the ordering keys
-     * (tick, seq) live only in the heap entry; wheel-routed events
-     * carry them here, together with the intrusive doubly-linked slot
-     * list the wheel threads through the slab.
-     *
-     * The record is exactly one cache line; a one-shot's SmallFn
-     * payload lives in the parallel fn_slab_ (same index) and is only
-     * touched when has_fn says so. A member-bound event's whole
-     * schedule/cancel/run cycle therefore stays within this line — at
-     * thousands of pending timers (request-retry storms) that halves
-     * the slab working set versus embedding the 56-byte SmallFn.
+     * One pooled occurrence, linked into the FIFO of its run. Two
+     * records share a cache line and none straddles one; a one-shot's
+     * SmallFn payload lives in the parallel fn_slab_ (same index) and
+     * is only touched when has_fn says so, so a member-bound event's
+     * whole schedule, cancel and run cycle stays within one line.
      */
-    struct alignas(64) Record {
+    struct alignas(32) Record {
         std::uint32_t gen = 1;  ///< Bumped on free; validates handles.
-        std::uint32_t next_free = kNoFreeSlot;
-        Tick when = 0;          ///< Wheel entries: the deadline.
-        std::uint64_t seq = 0;  ///< Wheel entries: global tie-break.
-        std::uint32_t wheel_next = kNoFreeSlot; ///< Slot list links.
-        std::uint32_t wheel_prev = kNoFreeSlot;
-        bool in_wheel = false;  ///< Eagerly cleared on cancel/run.
+        std::uint32_t next_free = kNone;
+        std::uint32_t run = kNone;  ///< The run holding this record.
+        std::uint32_t next = kNone; ///< Run FIFO links.
+        std::uint32_t prev = kNone;
         bool has_fn = false;    ///< fn_slab_[idx] holds a payload.
         Event *bound = nullptr; ///< Non-null for member-bound events.
     };
-    static_assert(sizeof(Record) == 64, "Record must stay one line");
+    static_assert(sizeof(Record) == 32, "two records per cache line");
 
+    /** Live records of one tick, in schedule order. */
+    struct Run {
+        Tick when = 0;
+        std::uint32_t head = kNone; ///< kNone while the run is free.
+        std::uint32_t tail = kNone;
+        std::uint32_t pos = 0;      ///< Index of its entry in heap_.
+        std::uint32_t next_free = kNone;
+    };
+
+    /**
+     * A run's heap key: its tick, then the seq it got when it started
+     * (or moved). Runs of one tick never interleave in schedule order
+     * (see link()), so the start seq orders them as their heads would,
+     * and popping or cancelling a record never re-keys its run.
+     */
     struct HeapEntry {
         Tick when;
         std::uint64_t seq;
-        std::uint32_t idx;
-        std::uint32_t gen;
+        std::uint32_t run;
 
         bool
         before(const HeapEntry &o) const
@@ -407,6 +428,12 @@ class EventQueue
                (static_cast<EventHandle>(idx) + 1);
     }
 
+    static std::uint32_t
+    handleSlot(EventHandle handle)
+    {
+        return static_cast<std::uint32_t>(handle & 0xffffffffu) - 1;
+    }
+
     /** Panic unless @p when is not in the past. Inline so schedulers
      *  pay only a compare on the hot path. */
     void
@@ -418,10 +445,10 @@ class EventQueue
     [[noreturn]] void failPast(Tick when) const;
 
     /** Pop a free slot off the free list (growing the pool first if
-     *  needed) and mark it live. No heap entry exists yet. */
+     *  needed) and mark it live. It joins no run yet. */
     std::uint32_t claimSlot();
 
-    /** Publish a claimed slot: push its (when, seq) heap entry. */
+    /** Publish a claimed slot: link it at @p when and count it live. */
     void commitSlot(std::uint32_t idx, Tick when);
 
     /** Return a claimed-but-unpublished slot to the free list. */
@@ -431,105 +458,39 @@ class EventQueue
     void freeSlot(std::uint32_t idx);
 
     void growPool();
-    void pushHeap(Tick when, std::uint64_t seq, std::uint32_t idx,
-                  std::uint32_t gen);
-    void popHeap() const;
-    /** Drop stale heap entries. @return false when the heap is empty. */
-    bool skipDead() const;
-    /** Execute the heap top (which must be live). */
-    void runTop();
 
-    // ---------------------------------------------------- timing wheel
-    // 8-bit levels: the paper-scale deltas that dominate the hot loop
-    // (retry intervals, CAS latencies, both in the tens of thousands of
-    // femtosecond-scale ticks) then sit one level up (256..65535) and
-    // cascade exactly once, instead of twice with 6-bit levels.
-    static constexpr int kWheelBits = 8;
-    static constexpr int kWheelLevels = 6;
-    static constexpr std::uint32_t kWheelSlots = 1u << kWheelBits;
-    static constexpr int kWheelWords = kWheelSlots / 64;
-    /** Per-level slot-occupancy bitmap (kWheelSlots bits). */
-    using OccMask = std::array<std::uint64_t, kWheelWords>;
+    /** Append record @p idx to the newest live run of @p when, or
+     *  start a new run for it with the next seq. */
+    void link(std::uint32_t idx, Tick when);
+    /** Take record @p idx out of its run; drop the run from the heap
+     *  and free it if it is now empty. */
+    void unlink(std::uint32_t idx);
 
-    struct WheelSlot {
-        std::uint32_t head = kNoFreeSlot;
-        std::uint32_t tail = kNoFreeSlot;
-    };
-
-    /** The wheel level an entry @p diff ticks of XOR distance away
-     *  belongs to: the highest differing 8-bit group vs wheel_now_.
-     *  kWheelLevels and up means "outside the wheel" (heap). */
-    static int
-    wheelLevel(Tick diff)
+    /** Store @p e at heap position @p pos and tell its run. */
+    void
+    place(std::size_t pos, const HeapEntry &e)
     {
-        return diff == 0 ? 0 : (63 - __builtin_clzll(diff)) / kWheelBits;
+        heap_[pos] = e;
+        runs_[e.run].pos = static_cast<std::uint32_t>(pos);
     }
+    void siftUp(std::size_t pos, const HeapEntry &e);
+    void siftDown(std::size_t pos, const HeapEntry &e);
+    /** Put @p e into the hole at @p pos, sifting whichever way its key
+     *  needs. */
+    void resift(std::size_t pos, const HeapEntry &e);
 
-    /** Lowest set slot in @p m, or -1 when the level is empty. */
-    static int
-    lowestSlot(const OccMask &m)
-    {
-        for (int w = 0; w < kWheelWords; ++w)
-            if (m[w] != 0)
-                return w * 64 + __builtin_ctzll(m[w]);
-        return -1;
-    }
-
-    static void
-    setOcc(OccMask &m, std::uint32_t slot)
-    {
-        m[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    }
-
-    static void
-    clearOcc(OccMask &m, std::uint32_t slot)
-    {
-        m[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-    }
-
-    /** Link @p idx at the tail of its slot under the current
-     *  wheel_now_ (record(idx).when must be >= wheel_now_). */
-    void wheelInsert(std::uint32_t idx);
-    /** Same with the level already computed by the caller. */
-    void wheelInsertAt(std::uint32_t idx, int level);
-    /** Eagerly unlink @p idx from its slot (O(1)). */
-    void wheelRemove(std::uint32_t idx);
-    /** Move the wheel's reference time forward to @p t, cascading the
-     *  one newly-current slot so every entry's (level, slot) placement
-     *  is again a pure function of (when, wheel_now_). All slots this
-     *  skips over are provably empty: no live entry's deadline may lie
-     *  below @p t when the caller advances. */
-    void advanceWheel(Tick t);
-    /**
-     * Index of the earliest wheel entry, cascading higher-level slots
-     * down until it sits in a level-0 slot (where list head == lowest
-     * seq of the earliest tick). Returns kNoFreeSlot when the wheel is
-     * empty or when its lower bound alone proves no wheel entry can
-     * run at or before @p cap (the heap top's tick) — in that case no
-     * cascade work is done.
-     */
-    std::uint32_t wheelHead(Tick cap, std::uint32_t *slot_out);
-    /** Exact earliest wheel tick without mutating (scans the first
-     *  occupied slot of the lowest non-empty level). */
-    Tick wheelMinTick() const;
-    /** Unlink the level-0 slot-@p slot head @p idx and execute it. */
-    void runWheelHead(std::uint32_t idx, std::uint32_t slot);
     /** Execute record @p idx (slot is freed before invocation so the
      *  callback can reschedule the same bound event). */
     void runRecord(std::uint32_t idx);
-    /** Run the earliest of (wheel, heap) if its tick is <= @p limit.
+    /** Run the earliest event if its tick is <= @p limit.
      *  @return false when nothing ran. */
     bool runNext(Tick limit);
 
-    Tick wheel_now_ = 0; ///< Wheel reference time (may lead now_).
-    std::size_t wheel_live_ = 0;
-    std::array<OccMask, kWheelLevels> wheel_occupied_{};
-    std::array<std::array<WheelSlot, kWheelSlots>, kWheelLevels> wheel_{};
-
     Tick now_ = 0;
-    std::uint64_t next_seq_ = 1;
+    std::uint64_t next_seq_ = 1; ///< Next run start (or move) seq.
     std::size_t live_ = 0;
-    std::uint32_t free_head_ = kNoFreeSlot;
+    std::uint32_t free_head_ = kNone;
+    std::uint32_t free_run_ = kNone;
     /**
      * Record pool. Indexed by handle, so it may reallocate on growth
      * (records are movable); a chunk-sized reserve at a time keeps that
@@ -539,7 +500,18 @@ class EventQueue
     /** One-shot payloads, parallel to slab_ (same index). Kept out of
      *  Record so bound events never touch these lines (see Record). */
     std::vector<SmallFn> fn_slab_;
-    mutable std::vector<HeapEntry> heap_;
+    /** Run pool, as long as slab_: every run holds a live record, so
+     *  runs (and heap entries) never outnumber records. */
+    std::vector<Run> runs_;
+    std::vector<HeapEntry> heap_; ///< 4-ary min-heap, one entry per run.
+    /** The last run started (or moved) in one index slot, and the tick
+     *  it was entered at. Only a hint: the run may since have emptied
+     *  or moved, so a match is checked against the run itself. */
+    struct IndexEntry {
+        Tick when = kTickMax;
+        std::uint32_t run = 0;
+    };
+    std::array<IndexEntry, std::size_t{1} << kIndexBits> run_index_{};
     KernelStats stats_;
 };
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
@@ -295,7 +296,7 @@ TEST(EventQueue, RescheduleMovesAPendingBoundEvent)
     eq.run();
     EXPECT_EQ(ticker.ticks, 1);
     EXPECT_EQ(ticker.last_at, 30u);
-    EXPECT_EQ(eq.now(), 30u); // The stale 100-tick entry is skipped.
+    EXPECT_EQ(eq.now(), 30u); // Nothing is left at tick 100.
 }
 
 TEST(EventQueue, DescheduledBoundEventDoesNotFire)
@@ -331,67 +332,120 @@ TEST(EventQueue, SteadyStateSchedulingDoesNotAllocate)
 {
     EventQueue eq;
     SelfTicker ticker(eq);
+    SelfTicker mover(eq);
     std::uint64_t counter = 0;
+    const auto bump = [&counter] { counter += 1; };
 
-    // Warm-up: grow the slab and the heap past the steady-state
-    // high-water mark (1001 simultaneously live events below).
+    // Warm-up: grow the slab, the run pool and the heap past the
+    // steady-state high-water mark (about 1000 live events below).
     for (int i = 0; i < 1200; ++i)
-        eq.scheduleAfter(static_cast<Tick>(i % 31), [&counter] {
-            counter += 1;
-        });
+        eq.scheduleAfter(static_cast<Tick>(i % 31), bump);
     eq.run();
+
+    // Two ticks past the one-shots below that share a tick->run index
+    // slot (pure arithmetic, outside the measured region).
+    const Tick a = eq.now() + 40;
+    Tick b = a + 1;
+    while (EventQueue::runIndexSlot(b) != EventQueue::runIndexSlot(a))
+        ++b;
+    std::array<leaky::sim::EventHandle, 1000> handles{};
 
     // Steady state: a self-rescheduling bound event plus one-shot
     // lambdas with small captures, mirroring the controller's tick /
     // completion pattern. None of this may touch the heap.
     ticker.limit = 1000;
+    mover.limit = 1;
     const std::uint64_t allocs_before = leaky_test_heap_allocs.load();
     eq.schedule(ticker.ev, eq.now());
-    for (int i = 0; i < 1000; ++i)
-        eq.scheduleAfter(static_cast<Tick>(i % 31), [&counter] {
-            counter += 1;
-        });
+    // Runs of about 32 events per tick.
+    for (std::size_t i = 0; i < handles.size(); ++i)
+        handles[i] = eq.scheduleAfter(static_cast<Tick>(i % 31), bump);
+    // Mid-run cancels: every other event of one run, its head (i = 5)
+    // and its tail (i = 997) included.
+    int cancelled = 0;
+    for (std::size_t i = 5; i < handles.size(); i += 62)
+        cancelled += eq.cancel(handles[i]) ? 1 : 0;
+    // Index-slot collision: b displaces a's run from the index, so the
+    // second schedule at a starts a second run of that tick.
+    eq.schedule(a, bump);
+    eq.schedule(b, bump);
+    eq.schedule(a, bump);
+    // A bound event moved alone (in place), then out of a shared run.
+    eq.schedule(mover.ev, a + 100);
+    eq.reschedule(mover.ev, a + 50);
+    eq.reschedule(mover.ev, a);
+    eq.schedule(a, bump);
+    eq.reschedule(mover.ev, a + 7);
     eq.run();
     const std::uint64_t allocs_after = leaky_test_heap_allocs.load();
 
     EXPECT_EQ(allocs_after, allocs_before);
+    EXPECT_EQ(cancelled, 17);
     EXPECT_EQ(ticker.ticks, 1000);
-    EXPECT_EQ(counter, 2200u);
+    EXPECT_EQ(mover.ticks, 1);
+    EXPECT_EQ(mover.last_at, a + 7);
+    EXPECT_EQ(counter, 1200u + 1000u - 17u + 4u);
     EXPECT_EQ(eq.kernelStats().one_shot_spills, 0u);
 }
 
 // ---------------------------------------------------------------------
-// Property-based differential test: the production kernel (timing wheel
-// + heap fallback) against a naive reference model that simply sorts
-// pending events by (tick, schedule-seq). Random schedules spanning
-// every wheel level (including the beyond-horizon heap route), random
+// Property-based differential test: the production kernel (a heap of
+// same-tick runs) against a naive reference model that simply sorts
+// pending events by (tick, schedule-seq). Random one-shot schedules
+// from 1 tick to 2^49 ticks out, bound-event reschedules, random
 // cancellations, and partial runUntil() slices must all reproduce the
-// reference fire order exactly — same-tick ties included.
+// reference fire order exactly -- same-tick ties included. The
+// generator aims some schedules at pending ticks (appends to a run)
+// and at ticks sharing a pending tick's index slot, and the test
+// checks that every run path was taken.
 
-TEST(EventQueueProperty, WheelMatchesReferenceHeapOrder)
+/** A bound event that records its id when it fires. */
+struct Probe {
+    void fire() { fired->push_back(id); }
+
+    Event ev;
+    std::vector<int> *fired = nullptr;
+    int id = 0;
+};
+
+TEST(EventQueueProperty, MatchesReferenceOrder)
 {
     leaky::sim::Rng rng(0xC0FFEE);
     const auto rnd = [&rng](std::uint64_t bound) {
         return rng.below(bound);
     };
-    // Delta magnitudes chosen to hit wheel levels 0..5 and the heap
-    // fallback (one full horizon past wheel_now_).
     static constexpr Tick kSpans[] = {
         1, 7, 60, 250, 3000, 70'000, Tick{1} << 20, Tick{1} << 49,
     };
 
-    std::uint64_t wheel_total = 0;
-    std::uint64_t heap_total = 0;
+    struct Coverage {
+        std::uint64_t same_tick = 0;   ///< Scheduled onto a pending tick.
+        std::uint64_t shared_slot = 0; ///< Another pending tick's slot.
+        std::uint64_t cancel_head = 0;
+        std::uint64_t cancel_middle = 0;
+        std::uint64_t cancel_tail = 0;
+        std::uint64_t move_alone = 0;  ///< Reschedule of a lone event.
+        std::uint64_t move_shared = 0; ///< Reschedule out of a run.
+    } cov;
+
     for (int round = 0; round < 10; ++round) {
         EventQueue eq;
+        std::vector<int> fired;
+        std::array<Probe, 3> probes;
+        for (std::size_t k = 0; k < probes.size(); ++k) {
+            probes[k].ev.bind(&probes[k], [](void *ctx) {
+                static_cast<Probe *>(ctx)->fire();
+            });
+            probes[k].fired = &fired;
+            probes[k].id = -1 - static_cast<int>(k);
+        }
         struct Pending {
             Tick when;
             std::uint64_t seq; ///< Global schedule order (tie-break).
-            int id;
+            int id;            ///< Negative for probes: -1 - index.
             leaky::sim::EventHandle handle;
         };
         std::vector<Pending> model;
-        std::vector<int> fired;
         std::vector<int> expected;
         std::uint64_t seq = 0;
         int next_id = 0;
@@ -414,26 +468,101 @@ TEST(EventQueueProperty, WheelMatchesReferenceHeapOrder)
             for (const Pending &p : due)
                 expected.push_back(p.id);
         };
+        const auto erasePending = [&model](std::size_t k) {
+            model.erase(model.begin() + static_cast<std::ptrdiff_t>(k));
+        };
+        // Pick a deadline and note which run paths it aims at.
+        const auto pickWhen = [&]() {
+            const std::uint64_t kind = rnd(8);
+            Tick when = eq.now() + rnd(kSpans[rnd(std::size(kSpans))] + 1);
+            if (!model.empty() && kind == 0) {
+                when = model[rnd(model.size())].when;
+            } else if (!model.empty() && kind == 1) {
+                // The nearest later tick sharing a pending tick's slot.
+                const Tick other = model[rnd(model.size())].when;
+                when = eq.now();
+                while (when == other ||
+                       EventQueue::runIndexSlot(when) !=
+                           EventQueue::runIndexSlot(other))
+                    ++when;
+            }
+            for (const Pending &p : model) {
+                if (p.when == when)
+                    cov.same_tick += 1;
+                else if (EventQueue::runIndexSlot(p.when) ==
+                         EventQueue::runIndexSlot(when))
+                    cov.shared_slot += 1;
+            }
+            return when;
+        };
+        const auto findProbe = [&model](int id) {
+            for (std::size_t i = 0; i < model.size(); ++i)
+                if (model[i].id == id)
+                    return i;
+            return model.size();
+        };
 
         for (int step = 0; step < 300; ++step) {
             const std::uint64_t op = rnd(100);
-            if (op < 60 || model.empty()) {
+            if (op < 50 || model.empty()) {
                 // Burst of one-shots; small spans collide on one tick
                 // often, exercising the same-tick seq order.
                 const int burst = 1 + static_cast<int>(rnd(8));
                 for (int b = 0; b < burst; ++b) {
-                    const Tick span = kSpans[rnd(std::size(kSpans))];
-                    const Tick when = eq.now() + rnd(span + 1);
+                    const Tick when = pickWhen();
+                    const int id = next_id++;
+                    const auto h = eq.schedule(
+                        when, [&fired, id] { fired.push_back(id); });
+                    model.push_back({when, seq++, id, h});
+                }
+            } else if (op < 60) {
+                Probe &probe = probes[rnd(probes.size())];
+                const std::size_t k = findProbe(probe.id);
+                if (k < model.size()) {
+                    std::size_t peers = 0;
+                    for (const Pending &p : model)
+                        peers += p.when == model[k].when ? 1 : 0;
+                    (peers == 1 ? cov.move_alone : cov.move_shared) += 1;
+                    erasePending(k);
+                }
+                const Tick when = pickWhen();
+                eq.reschedule(probe.ev, when);
+                EXPECT_EQ(probe.ev.when(), when);
+                model.push_back({when, seq++, probe.id, kNoEvent});
+                if (rnd(2) == 0) {
+                    // A later schedule on the same tick must fire after
+                    // the moved event.
                     const int id = next_id++;
                     const auto h = eq.schedule(
                         when, [&fired, id] { fired.push_back(id); });
                     model.push_back({when, seq++, id, h});
                 }
             } else if (op < 80) {
+                // Classify the victim by its place among the pending
+                // events of its tick: the kernel's run order.
                 const std::size_t k = rnd(model.size());
-                EXPECT_TRUE(eq.cancel(model[k].handle));
-                model.erase(model.begin() +
-                            static_cast<std::ptrdiff_t>(k));
+                bool earlier = false;
+                bool later = false;
+                for (const Pending &p : model) {
+                    if (p.when == model[k].when) {
+                        earlier = earlier || p.seq < model[k].seq;
+                        later = later || p.seq > model[k].seq;
+                    }
+                }
+                if (earlier && later)
+                    cov.cancel_middle += 1;
+                else if (later)
+                    cov.cancel_head += 1;
+                else if (earlier)
+                    cov.cancel_tail += 1;
+                if (model[k].id < 0) {
+                    Probe &probe =
+                        probes[static_cast<std::size_t>(-1 - model[k].id)];
+                    EXPECT_TRUE(eq.deschedule(probe.ev));
+                } else {
+                    EXPECT_TRUE(eq.cancel(model[k].handle));
+                }
+                erasePending(k);
             } else {
                 // Run a slice ending at a pending deadline plus random
                 // slack, so limits land both on and between events.
@@ -444,17 +573,45 @@ TEST(EventQueueProperty, WheelMatchesReferenceHeapOrder)
                 ASSERT_EQ(fired, expected) << "round " << round
                                            << " step " << step;
             }
+            ASSERT_EQ(eq.size(), model.size());
+            ASSERT_EQ(eq.nextEventTick(),
+                      model.empty()
+                          ? kTickMax
+                          : std::min_element(model.begin(), model.end(),
+                                             byOrder)
+                                ->when);
         }
         eq.run();
         drainModel(kTickMax);
         ASSERT_EQ(fired, expected) << "round " << round;
         EXPECT_TRUE(eq.empty());
-        wheel_total += eq.kernelStats().wheel_events;
-        heap_total += eq.kernelStats().heap_events;
     }
-    // The generator must have exercised both routing paths.
-    EXPECT_GT(wheel_total, 0u);
-    EXPECT_GT(heap_total, 0u);
+    // The generator must have exercised every run path.
+    EXPECT_GT(cov.same_tick, 0u);
+    EXPECT_GT(cov.shared_slot, 0u);
+    EXPECT_GT(cov.cancel_head, 0u);
+    EXPECT_GT(cov.cancel_middle, 0u);
+    EXPECT_GT(cov.cancel_tail, 0u);
+    EXPECT_GT(cov.move_alone, 0u);
+    EXPECT_GT(cov.move_shared, 0u);
+}
+
+TEST(EventQueue, MovedBoundEventFiresBeforeLaterSameTickSchedules)
+{
+    EventQueue eq;
+    std::vector<int> fired;
+    Probe probe;
+    probe.ev.bind(&probe, [](void *ctx) {
+        static_cast<Probe *>(ctx)->fire();
+    });
+    probe.fired = &fired;
+    probe.id = 2;
+    eq.schedule(50, [&fired] { fired.push_back(1); });
+    eq.schedule(probe.ev, 100);
+    eq.reschedule(probe.ev, 50); // Moved alone, behind the tick's run.
+    eq.schedule(50, [&fired] { fired.push_back(3); });
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, OversizedCapturesSpillAndAreCounted)
