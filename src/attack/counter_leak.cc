@@ -8,7 +8,7 @@ namespace leaky::attack {
 
 CounterLeakAttacker::CounterLeakAttacker(sys::System &system,
                                          const CounterLeakConfig &cfg)
-    : system_(system), cfg_(cfg)
+    : system_(system), cfg_(cfg), load_(system)
 {
     LEAKY_ASSERT(cfg_.shared_addr != 0 && cfg_.conflict_addr != 0,
                  "counter leak needs shared and conflict rows");
@@ -23,12 +23,11 @@ CounterLeakAttacker::CounterLeakAttacker(sys::System &system,
 }
 
 void
-CounterLeakAttacker::leak(
-    std::function<void(const CounterLeakResult &)> on_done)
+CounterLeakAttacker::start(sim::SmallFn on_done)
 {
     on_done_ = std::move(on_done);
     start_ = system_.now();
-    mark_ = start_;
+    load_.restart();
     shared_activations_ = 0;
     next_shared_ = true;
     iterate();
@@ -37,53 +36,44 @@ CounterLeakAttacker::leak(
 void
 CounterLeakAttacker::iterate()
 {
-    const bool shared = next_shared_;
-    next_shared_ = !next_shared_;
-    const std::uint64_t addr = shared ? cfg_.shared_addr
-                                      : cfg_.conflict_addr;
-    system_.schedule(cfg_.iter_overhead, [this, addr, shared] {
-        system_.issueRead(addr, cfg_.source, [this, shared] {
-            const Tick done = system_.now();
-            const Tick latency = done - mark_;
-            mark_ = done;
-            if (shared)
+    load_.next(
+        0,
+        [this] { return next_shared_ ? cfg_.shared_addr : cfg_.conflict_addr; },
+        [this](Tick latency) {
+            if (next_shared_)
                 shared_activations_ += 1;
-            if (cfg_.classifier.classify(latency) ==
-                LatencyClass::kBackoff) {
-                CounterLeakResult result;
-                result.attacker_activations = shared_activations_;
-                result.leaked_count =
-                    cfg_.nbo > shared_activations_
-                        ? cfg_.nbo - shared_activations_
-                        : 0;
-                result.elapsed = done - start_;
-                result.bits = std::log2(static_cast<double>(cfg_.nbo));
-                result.throughput =
-                    result.bits /
-                    (static_cast<double>(result.elapsed) * 1e-12);
-                if (on_done_)
-                    on_done_(result);
-                return;
-            }
-            iterate();
+            next_shared_ = !next_shared_;
+            if (cfg_.classifier.classify(latency) == LatencyClass::kBackoff)
+                finish();
+            else
+                iterate();
         });
-    });
+}
+
+void
+CounterLeakAttacker::finish()
+{
+    result_.attacker_activations = shared_activations_;
+    result_.leaked_count =
+        cfg_.nbo > shared_activations_ ? cfg_.nbo - shared_activations_ : 0;
+    result_.elapsed = system_.now() - start_;
+    result_.bits = std::log2(static_cast<double>(cfg_.nbo));
+    result_.throughput =
+        result_.bits / (static_cast<double>(result_.elapsed) * 1e-12);
+    if (on_done_)
+        on_done_();
 }
 
 CounterLeakVictim::CounterLeakVictim(sys::System &system,
                                      std::uint64_t shared_addr,
-                                     std::uint64_t conflict_addr,
-                                     Tick iter_overhead,
-                                     std::int32_t source)
-    : system_(system), shared_addr_(shared_addr),
-      conflict_addr_(conflict_addr), iter_overhead_(iter_overhead),
-      source_(source)
+                                     std::uint64_t conflict_addr)
+    : load_(system), shared_addr_(shared_addr),
+      conflict_addr_(conflict_addr)
 {
 }
 
 void
-CounterLeakVictim::prime(std::uint32_t activations,
-                         std::function<void()> on_done)
+CounterLeakVictim::prime(std::uint32_t activations, sim::SmallFn on_done)
 {
     on_done_ = std::move(on_done);
     remaining_ = activations;
@@ -99,16 +89,14 @@ CounterLeakVictim::iterate()
             on_done_();
         return;
     }
-    const bool shared = next_shared_;
-    next_shared_ = !next_shared_;
-    const std::uint64_t addr = shared ? shared_addr_ : conflict_addr_;
-    system_.schedule(iter_overhead_, [this, addr, shared] {
-        system_.issueRead(addr, source_, [this, shared] {
-            if (shared && remaining_ > 0)
+    load_.next(
+        0, [this] { return next_shared_ ? shared_addr_ : conflict_addr_; },
+        [this](Tick) {
+            if (next_shared_)
                 remaining_ -= 1;
+            next_shared_ = !next_shared_;
             iterate();
         });
-    });
 }
 
 } // namespace leaky::attack

@@ -14,7 +14,6 @@
 #define LEAKY_ATTACK_COUNTER_LEAK_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "attack/probe.hh"
 #include "sys/system.hh"
@@ -28,9 +27,7 @@ struct CounterLeakConfig {
     /** Channel both rows live on (PRAC counters are per-channel). */
     std::uint32_t channel = 0;
     std::uint32_t nbo = 128;
-    Tick iter_overhead = 15'000;
     LatencyClassifier classifier;
-    std::int32_t source = 500;
 };
 
 /** Result of one leak. */
@@ -49,17 +46,22 @@ class CounterLeakAttacker
     CounterLeakAttacker(sys::System &system,
                         const CounterLeakConfig &cfg);
 
-    /** Hammer until the back-off fires, then report the leak. */
-    void leak(std::function<void(const CounterLeakResult &)> on_done);
+    /** Hammer until the back-off fires, then invoke @p on_done; the
+     *  leak is then in result(). */
+    void start(sim::SmallFn on_done);
+
+    const CounterLeakResult &result() const { return result_; }
 
   private:
     void iterate();
+    void finish();
 
     sys::System &system_;
     CounterLeakConfig cfg_;
-    std::function<void(const CounterLeakResult &)> on_done_;
+    TimedLoad load_;
+    sim::SmallFn on_done_;
+    CounterLeakResult result_;
     Tick start_ = 0;
-    Tick mark_ = 0;
     bool next_shared_ = true;
     std::uint32_t shared_activations_ = 0;
 };
@@ -72,21 +74,17 @@ class CounterLeakVictim
 {
   public:
     CounterLeakVictim(sys::System &system, std::uint64_t shared_addr,
-                      std::uint64_t conflict_addr,
-                      Tick iter_overhead = 15'000,
-                      std::int32_t source = 501);
+                      std::uint64_t conflict_addr);
 
-    void prime(std::uint32_t activations, std::function<void()> on_done);
+    void prime(std::uint32_t activations, sim::SmallFn on_done);
 
   private:
     void iterate();
 
-    sys::System &system_;
+    TimedLoad load_;
     std::uint64_t shared_addr_;
     std::uint64_t conflict_addr_;
-    Tick iter_overhead_;
-    std::int32_t source_;
-    std::function<void()> on_done_;
+    sim::SmallFn on_done_;
     std::uint32_t remaining_ = 0;
     bool next_shared_ = true;
 };

@@ -13,7 +13,7 @@ namespace leaky::attack {
 // ---------------------------------------------------------------- sender
 
 CovertSender::CovertSender(sys::System &system, const CovertConfig &cfg)
-    : system_(system), cfg_(cfg)
+    : system_(system), cfg_(cfg), load_(system)
 {
     LEAKY_ASSERT(cfg_.sender_addr != 0, "sender address not configured");
     LEAKY_ASSERT(cfg_.sender_gaps.size() + 1 >= cfg_.levels,
@@ -25,7 +25,6 @@ CovertSender::transmit(std::vector<std::uint8_t> symbols, Tick epoch)
 {
     symbols_ = std::move(symbols);
     epoch_ = epoch;
-    window_index_ = 0;
     const Tick now = system_.now();
     LEAKY_ASSERT(epoch_ >= now, "epoch in the past");
     system_.schedule(epoch_ - now, [this] { windowStart(0); });
@@ -36,7 +35,6 @@ CovertSender::windowStart(std::size_t index)
 {
     if (index >= symbols_.size())
         return;
-    window_index_ = index;
     window_end_ = epoch_ + (index + 1) * cfg_.window;
     system_.schedule(window_end_ - system_.now(),
                    [this, index] { windowStart(index + 1); });
@@ -51,31 +49,31 @@ CovertSender::windowStart(std::size_t index)
     gap_ = cfg_.sender_gaps[std::min<std::size_t>(
         symbol - 1, cfg_.sender_gaps.size() - 1)];
     active_ = true;
-    mark_ = system_.now();
+    load_.restart();
     accessLoop();
 }
 
 void
 CovertSender::accessLoop()
 {
-    if (!active_ || system_.now() + cfg_.iter_overhead >= window_end_)
+    if (!active_ || system_.now() + kLoopOverhead >= window_end_)
         return;
     const std::uint64_t id = loop_id_;
-    system_.schedule(cfg_.iter_overhead + gap_, [this, id] {
-        if (id != loop_id_ || !active_ || system_.now() >= window_end_)
-            return;
-        std::uint64_t addr = (cfg_.sender_addr2 != 0 && (accesses_ & 1))
-                                 ? cfg_.sender_addr2
-                                 : cfg_.sender_addr;
-        if (!cfg_.sender_sequence.empty()) {
-            addr = cfg_.sender_sequence[seq_pos_];
+    load_.next(
+        gap_,
+        [this, id]() -> std::optional<std::uint64_t> {
+            if (id != loop_id_ || !active_ || system_.now() >= window_end_)
+                return std::nullopt;
+            if (cfg_.sender_sequence.empty())
+                return (cfg_.sender_addr2 != 0 && (accesses_ & 1))
+                           ? cfg_.sender_addr2
+                           : cfg_.sender_addr;
+            const std::uint64_t addr = cfg_.sender_sequence[seq_pos_];
             seq_pos_ = (seq_pos_ + 1) % cfg_.sender_sequence.size();
-        }
-        system_.issueRead(addr, cfg_.sender_source, [this, id] {
-            const Tick done = system_.now();
+            return addr;
+        },
+        [this, id](Tick latency) {
             accesses_ += 1;
-            const Tick latency = done - mark_;
-            mark_ = done;
             if (id != loop_id_)
                 return;
             // After its own back-off observation the sender sleeps for
@@ -89,14 +87,13 @@ CovertSender::accessLoop()
             }
             accessLoop();
         });
-    });
 }
 
 // -------------------------------------------------------------- receiver
 
 CovertReceiver::CovertReceiver(sys::System &system,
                                const CovertConfig &cfg)
-    : system_(system), cfg_(cfg)
+    : system_(system), cfg_(cfg), load_(system)
 {
     LEAKY_ASSERT(cfg_.receiver_addr != 0,
                  "receiver address not configured");
@@ -104,7 +101,7 @@ CovertReceiver::CovertReceiver(sys::System &system,
 
 void
 CovertReceiver::listen(std::size_t n_symbols, Tick epoch,
-                       std::function<void()> on_done)
+                       sim::SmallFn on_done)
 {
     n_symbols_ = n_symbols;
     epoch_ = epoch;
@@ -112,6 +109,9 @@ CovertReceiver::listen(std::size_t n_symbols, Tick epoch,
     decoded_.clear();
     backoff_counts_.clear();
     detections_.clear();
+    decoded_.reserve(n_symbols); // Decoding a window never allocates.
+    backoff_counts_.reserve(n_symbols);
+    detections_.reserve(n_symbols);
     const Tick now = system_.now();
     LEAKY_ASSERT(epoch_ >= now, "epoch in the past");
     system_.schedule(epoch_ - now, [this] { windowStart(0); });
@@ -128,7 +128,6 @@ CovertReceiver::windowStart(std::size_t index)
             on_done_();
         return;
     }
-    window_index_ = index;
     window_end_ = epoch_ + (index + 1) * cfg_.window;
     access_count_ = 0;
     backoffs_seen_ = 0;
@@ -137,7 +136,7 @@ CovertReceiver::windowStart(std::size_t index)
     system_.schedule(window_end_ - system_.now(),
                    [this, index] { windowStart(index + 1); });
 
-    mark_ = system_.now();
+    load_.restart();
     if (!listening_) {
         listening_ = true;
         accessLoop();
@@ -147,47 +146,52 @@ CovertReceiver::windowStart(std::size_t index)
 void
 CovertReceiver::accessLoop()
 {
-    if (!listening_ || system_.now() + cfg_.iter_overhead >= window_end_) {
+    if (!listening_ || system_.now() + kLoopOverhead >= window_end_) {
         listening_ = false;
         return;
     }
-    system_.schedule(cfg_.iter_overhead, [this] {
-        if (!listening_)
-            return;
-        system_.issueRead(cfg_.receiver_addr, cfg_.receiver_source, [this] {
-            const Tick done = system_.now();
-            const Tick latency = done - mark_;
-            mark_ = done;
-            access_count_ += 1;
-            // §10.1 refresh filter: drop events inside the calibrated
-            // periodic-refresh blackout.
-            if (cfg_.refresh_blackout) {
-                const Tick phase = done % cfg_.refi;
-                if (phase < cfg_.blackout_post ||
-                    phase > cfg_.refi - cfg_.blackout_pre) {
-                    accessLoop();
-                    return;
-                }
-            }
-            const LatencyClass cls = cfg_.classifier.classify(latency);
-            if (cfg_.kind == ChannelKind::kPrac) {
-                if (cls == LatencyClass::kBackoff) {
-                    backoffs_seen_ += 1;
-                    if (backoffs_seen_ == 1) {
-                        count_at_backoff_ = access_count_;
-                        // Bit determined: sleep until the window ends to
-                        // avoid incrementing counters further (§6.3).
-                        listening_ = false;
-                        return;
-                    }
-                }
-            } else {
-                if (cls == LatencyClass::kRfm)
-                    rfm_events_ += 1;
-            }
+    load_.next(
+        0,
+        [this]() -> std::optional<std::uint64_t> {
+            if (!listening_)
+                return std::nullopt;
+            return cfg_.receiver_addr;
+        },
+        [this](Tick latency) { onLatency(latency); });
+}
+
+void
+CovertReceiver::onLatency(Tick latency)
+{
+    access_count_ += 1;
+    // §10.1 refresh filter: drop events inside the calibrated
+    // periodic-refresh blackout.
+    if (cfg_.refresh_blackout) {
+        constexpr Tick kBlackoutPre = 150'000; ///< Drain lead-in.
+        const Tick phase = system_.now() % cfg_.refi;
+        if (phase < cfg_.blackout_post ||
+            phase > cfg_.refi - kBlackoutPre) {
             accessLoop();
-        });
-    });
+            return;
+        }
+    }
+    const LatencyClass cls = cfg_.classifier.classify(latency);
+    if (cfg_.kind == ChannelKind::kPrac) {
+        if (cls == LatencyClass::kBackoff) {
+            backoffs_seen_ += 1;
+            if (backoffs_seen_ == 1) {
+                count_at_backoff_ = access_count_;
+                // Bit determined: sleep until the window ends to
+                // avoid incrementing counters further (§6.3).
+                listening_ = false;
+                return;
+            }
+        }
+    } else {
+        if (cls == LatencyClass::kRfm)
+            rfm_events_ += 1;
+    }
+    accessLoop();
 }
 
 std::uint8_t
@@ -220,7 +224,7 @@ CovertReceiver::finalizeWindow()
     // sleep after an early decode.
     if (!listening_) {
         listening_ = true;
-        mark_ = system_.now();
+        load_.restart();
         accessLoop();
     }
 }
@@ -243,7 +247,7 @@ makeChannelConfig(sys::System &system, ChannelKind kind,
                                             : 20 * sim::kUs;
     const auto &ctrl_cfg = system.controller(channel).config();
     cfg.classifier = LatencyClassifier::forTiming(
-        ctrl_cfg.dram.timing, 90'000, ctrl_cfg.rfms_per_backoff);
+        ctrl_cfg.dram.timing, ctrl_cfg.rfms_per_backoff);
     // Sender and receiver rows share bank (rank 0, bg 0, bank 0) of
     // the target channel; any same-bank pair works (§5.2).
     cfg.sender_addr = rowAddress(system.mapper(), channel, 0, 0, 0, 1000);
@@ -320,8 +324,7 @@ checkChannels(const sys::System &system, const CovertConfig &cfg)
 
 std::vector<ChannelResult>
 runCovertChannel(sys::System &system, const std::vector<CovertConfig> &cfgs,
-                 const std::vector<std::uint8_t> &symbols,
-                 Tick epoch_delay)
+                 const std::vector<std::uint8_t> &symbols)
 {
     LEAKY_ASSERT(!cfgs.empty(), "need at least one sender/receiver pair");
     std::vector<std::unique_ptr<CovertSender>> senders;
@@ -334,7 +337,7 @@ runCovertChannel(sys::System &system, const std::vector<CovertConfig> &cfgs,
         window = std::max(window, cfg.window);
     }
 
-    const Tick epoch = system.now() + epoch_delay;
+    const Tick epoch = system.now() + 2 * sim::kUs;
     std::size_t done = 0;
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
         senders[i]->transmit(symbols, epoch);
@@ -364,15 +367,15 @@ runCovertChannel(sys::System &system, const std::vector<CovertConfig> &cfgs,
 }
 
 std::vector<std::uint32_t>
-calibrateCuts(const sys::SystemConfig &sys_cfg, CovertConfig cfg,
-              std::uint32_t reps_per_symbol)
+calibrateCuts(const sys::SystemConfig &sys_cfg, CovertConfig cfg)
 {
+    constexpr std::uint32_t kRepsPerSymbol = 8;
     if (cfg.levels <= 2)
         return {};
     std::vector<double> mean_counts;
     for (std::uint32_t s = 1; s < cfg.levels; ++s) {
         sys::System system(sys_cfg);
-        std::vector<std::uint8_t> ramp(reps_per_symbol,
+        std::vector<std::uint8_t> ramp(kRepsPerSymbol,
                                        static_cast<std::uint8_t>(s));
         CovertConfig train = cfg;
         train.levels = 2; // Decode irrelevant; we only need counts.

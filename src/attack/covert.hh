@@ -17,7 +17,6 @@
 #define LEAKY_ATTACK_COVERT_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "attack/probe.hh"
@@ -34,7 +33,6 @@ struct CovertConfig {
     Tick window = 25 * sim::kUs;   ///< 25 us PRAC / 20 us RFM (paper).
     std::uint32_t levels = 2;      ///< 2 = binary, 3 = ternary, 4 = quat.
     std::uint32_t trecv = 3;       ///< RFM-count threshold (PRFM, §7.3).
-    Tick iter_overhead = 15'000;   ///< Loop overhead per access.
     /**
      * Channel the sender's rows live on. Defense instances are
      * per-channel, so the sender only charges counters on THIS
@@ -68,19 +66,17 @@ struct CovertConfig {
      */
     std::vector<std::uint64_t> sender_sequence;
     std::uint64_t receiver_addr = 0;
-    std::int32_t sender_source = 200;
-    std::int32_t receiver_source = 201;
     LatencyClassifier classifier;
     /**
      * Refresh filtering (paper §10.1): when preventive-action latencies
      * shrink into the refresh band (Figs. 11/12), the receiver
      * calibrates the periodic-refresh grid beforehand and ignores
      * events completing inside a blackout window around each k x tREFI
-     * point. Requires deterministic (non-postponed) refresh.
+     * point (from a fixed drain lead-in before it to `blackout_post`
+     * after it). Requires deterministic (non-postponed) refresh.
      */
     bool refresh_blackout = false;
     Tick refi = 3'900'000;
-    Tick blackout_pre = 150'000;  ///< Drain lead-in before the REF.
     Tick blackout_post = 600'000; ///< tRFC + settle after the REF.
     /**
      * Multibit pacing: extra inter-access gap of the sender for symbol
@@ -105,22 +101,19 @@ class CovertSender
     /** Transmit @p symbols in consecutive windows starting at @p epoch. */
     void transmit(std::vector<std::uint8_t> symbols, Tick epoch);
 
-    std::uint64_t accessCount() const { return accesses_; }
-
   private:
     void windowStart(std::size_t index);
     void accessLoop();
 
     sys::System &system_;
     CovertConfig cfg_;
+    TimedLoad load_;
     std::vector<std::uint8_t> symbols_;
     Tick epoch_ = 0;
-    std::size_t window_index_ = 0;
     Tick window_end_ = 0;
     Tick gap_ = 0;
     bool active_ = false;
     std::uint64_t loop_id_ = 0; ///< Guards against duplicate loops.
-    Tick mark_ = 0;
     std::uint64_t accesses_ = 0;
     std::size_t seq_pos_ = 0; ///< Cursor into cfg_.sender_sequence.
 };
@@ -133,7 +126,7 @@ class CovertReceiver
 
     /** Listen for @p n_symbols windows starting at @p epoch. */
     void listen(std::size_t n_symbols, Tick epoch,
-                std::function<void()> on_done = {});
+                sim::SmallFn on_done = {});
 
     const std::vector<std::uint8_t> &decoded() const { return decoded_; }
 
@@ -155,18 +148,18 @@ class CovertReceiver
     void windowStart(std::size_t index);
     void finalizeWindow();
     void accessLoop();
+    void onLatency(Tick latency);
     std::uint8_t decodeSymbol() const;
 
     sys::System &system_;
     CovertConfig cfg_;
+    TimedLoad load_;
     std::size_t n_symbols_ = 0;
     Tick epoch_ = 0;
-    std::function<void()> on_done_;
+    sim::SmallFn on_done_;
 
-    std::size_t window_index_ = 0;
     Tick window_end_ = 0;
     bool listening_ = false; ///< Issuing accesses in this window.
-    Tick mark_ = 0;
 
     std::uint32_t access_count_ = 0;
     std::uint32_t backoffs_seen_ = 0;
@@ -199,15 +192,14 @@ struct ChannelResult {
 /**
  * Run one complete transmission per config, concurrently on @p system:
  * instantiate every sender and receiver, transmit @p symbols from all
- * of them at one epoch, decode, and compute Eq.-1 metrics per pair
- * (ground truth from each receiver channel's stats view). Runs the
- * system's event queue; other agents (noise, background cores) may
- * already be attached.
+ * of them at one epoch 2 us from now, decode, and compute Eq.-1
+ * metrics per pair (ground truth from each receiver channel's stats
+ * view). Runs the system's event queue; other agents (noise,
+ * background cores) may already be attached.
  */
 std::vector<ChannelResult>
 runCovertChannel(sys::System &system, const std::vector<CovertConfig> &cfgs,
-                 const std::vector<std::uint8_t> &symbols,
-                 Tick epoch_delay = 2 * sim::kUs);
+                 const std::vector<std::uint8_t> &symbols);
 
 /**
  * Fill in addresses/classifier/window defaults for @p system, placing
@@ -218,13 +210,13 @@ CovertConfig makeChannelConfig(sys::System &system, ChannelKind kind,
                                std::uint32_t channel = 0);
 
 /**
- * Calibrate multibit decode cut points: transmit a known symbol ramp on
- * a throwaway copy of the system and place cuts at midpoints between
- * the mean receiver counts of adjacent symbols.
+ * Calibrate multibit decode cut points: transmit a known symbol ramp
+ * (eight windows per symbol) on a throwaway copy of the system and
+ * place cuts at midpoints between the mean receiver counts of adjacent
+ * symbols.
  */
 std::vector<std::uint32_t>
-calibrateCuts(const sys::SystemConfig &sys_cfg, CovertConfig cfg,
-              std::uint32_t reps_per_symbol = 8);
+calibrateCuts(const sys::SystemConfig &sys_cfg, CovertConfig cfg);
 
 } // namespace leaky::attack
 

@@ -9,7 +9,7 @@ namespace leaky::attack {
 
 FingerprintProbe::FingerprintProbe(sys::System &system,
                                    FingerprintConfig cfg)
-    : system_(system), cfg_(std::move(cfg))
+    : system_(system), cfg_(std::move(cfg)), load_(system)
 {
     LEAKY_ASSERT(!cfg_.rows.empty(), "probe needs test rows");
     LEAKY_ASSERT(cfg_.t_accesses > 0, "T must be positive");
@@ -22,12 +22,12 @@ FingerprintProbe::FingerprintProbe(sys::System &system,
 }
 
 void
-FingerprintProbe::start(std::function<void()> on_done)
+FingerprintProbe::start(sim::SmallFn on_done)
 {
     on_done_ = std::move(on_done);
     start_ = system_.now();
     end_ = start_ + cfg_.duration;
-    mark_ = start_;
+    load_.restart();
     iterate();
 }
 
@@ -35,32 +35,27 @@ void
 FingerprintProbe::iterate()
 {
     if (system_.now() >= end_) {
-        if (!done_reported_) {
-            done_reported_ = true;
-            if (on_done_)
-                on_done_();
-        }
+        if (on_done_)
+            on_done_();
         return;
     }
-    const std::uint64_t addr = cfg_.rows[row_index_];
-    access_in_row_ += 1;
-    if (access_in_row_ >= cfg_.t_accesses) {
-        access_in_row_ = 0;
-        row_index_ = (row_index_ + 1) % cfg_.rows.size();
-    }
-    system_.schedule(cfg_.iter_overhead, [this, addr] {
-        system_.issueRead(addr, cfg_.source, [this] {
-            const Tick done = system_.now();
-            const Tick latency = done - mark_;
-            mark_ = done;
-            accesses_ += 1;
-            if (cfg_.classifier.classify(latency) ==
-                LatencyClass::kBackoff) {
-                backoffs_.push_back(done - start_);
+    load_.next(
+        0,
+        [this] {
+            const std::uint64_t addr = cfg_.rows[row_index_];
+            access_in_row_ += 1;
+            if (access_in_row_ >= cfg_.t_accesses) {
+                access_in_row_ = 0;
+                row_index_ = (row_index_ + 1) % cfg_.rows.size();
             }
+            return addr;
+        },
+        [this](Tick latency) {
+            accesses_ += 1;
+            if (cfg_.classifier.classify(latency) == LatencyClass::kBackoff)
+                backoffs_.push_back(system_.now() - start_);
             iterate();
         });
-    });
 }
 
 FingerprintFeatures

@@ -14,7 +14,6 @@
 #define LEAKY_ATTACK_FINGERPRINT_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "attack/probe.hh"
@@ -29,10 +28,8 @@ struct FingerprintConfig {
      *  the probe only observes victims sharing this channel. */
     std::uint32_t channel = 0;
     std::uint32_t t_accesses = 50;   ///< T: accesses per row visit (<NBO).
-    Tick iter_overhead = 15'000;
     Tick duration = 4 * sim::kMs;    ///< Covers the page load.
     LatencyClassifier classifier;
-    std::int32_t source = 400;
 };
 
 /** The attacker's measurement process. */
@@ -42,7 +39,7 @@ class FingerprintProbe
     FingerprintProbe(sys::System &system, FingerprintConfig cfg);
 
     /** Probe until `duration` elapses, then invoke @p on_done. */
-    void start(std::function<void()> on_done = {});
+    void start(sim::SmallFn on_done = {});
 
     /** Timestamps (relative to start) of detected back-offs. */
     const std::vector<Tick> &backoffTimes() const { return backoffs_; }
@@ -54,15 +51,14 @@ class FingerprintProbe
 
     sys::System &system_;
     FingerprintConfig cfg_;
-    std::function<void()> on_done_;
+    TimedLoad load_;
+    sim::SmallFn on_done_;
     Tick start_ = 0;
     Tick end_ = 0;
-    Tick mark_ = 0;
     std::size_t row_index_ = 0;
     std::uint32_t access_in_row_ = 0;
     std::uint64_t accesses_ = 0;
     std::vector<Tick> backoffs_;
-    bool done_reported_ = false;
 };
 
 /** Fixed-length feature vector from a back-off timestamp trace. */

@@ -1,5 +1,7 @@
 #include "attack/mapping_recovery.hh"
 
+#include <array>
+
 #include "sim/logging.hh"
 
 namespace leaky::attack {
@@ -7,6 +9,20 @@ namespace leaky::attack {
 using dram::gf2::BitBasis;
 
 namespace {
+
+/** Alternating read pairs per timing measurement (2N reads; the min
+ *  latency of the steady-state reads is the statistic, which filters
+ *  refresh/RFM/back-off inflation from any defense). */
+constexpr std::uint32_t kSamplesPerPair = 4;
+/** Constructed full-range probes per validation pass. */
+constexpr std::uint32_t kValidationPairs = 12;
+/** Difference-window schedule in line bits (0 = all line bits). Each
+ *  widening is one more adaptive round; complex mappings fail
+ *  validation in narrow windows and climb the schedule. */
+constexpr std::array<std::uint32_t, 4> kWindows = {16, 22, 26, 0};
+constexpr std::uint32_t kMaxRounds = 64;
+/** Cap on pairwise-XOR refinement probes in the row phase. */
+constexpr std::uint32_t kMaxRefineTests = 64;
 
 std::uint32_t
 log2OfPow2(std::uint64_t v)
@@ -23,11 +39,9 @@ log2OfPow2(std::uint64_t v)
 
 MappingRecovery::MappingRecovery(sys::System &system,
                                  MappingRecoveryConfig cfg)
-    : system_(system), cfg_(std::move(cfg)), rng_(cfg_.seed)
+    : system_(system), cfg_(std::move(cfg)), load_(system),
+      rng_(cfg_.seed)
 {
-    LEAKY_ASSERT(cfg_.samples_per_pair >= 2,
-                 "need at least two alternation samples per pair");
-    LEAKY_ASSERT(!cfg_.windows.empty(), "need a window schedule");
     // Datasheet knowledge only: the module's capacity and geometry
     // counts. Which physical bits feed which coordinate — the mapping
     // function itself — is what the probing below has to discover.
@@ -45,7 +59,7 @@ MappingRecovery::MappingRecovery(sys::System &system,
 }
 
 void
-MappingRecovery::start(std::function<void()> on_done)
+MappingRecovery::start(sim::SmallFn on_done)
 {
     on_done_ = std::move(on_done);
     phase_ = Phase::kCollect;
@@ -55,7 +69,7 @@ MappingRecovery::start(std::function<void()> on_done)
 std::uint32_t
 MappingRecovery::windowBits() const
 {
-    std::uint32_t w = cfg_.windows[window_idx_];
+    std::uint32_t w = kWindows[window_idx_];
     if (w == 0 || w > total_bits_)
         w = total_bits_;
     return w;
@@ -88,16 +102,15 @@ MappingRecovery::randomCombination(
 // ----------------------------------------------------- timing oracle
 
 void
-MappingRecovery::measurePair(std::uint64_t line_a, std::uint64_t line_b,
-                             std::function<void(bool)> cb)
+MappingRecovery::measurePair(std::uint64_t line, std::uint64_t delta)
 {
-    pair_[0] = line_a * dram::MappingFunction::kLineBytes;
-    pair_[1] = line_b * dram::MappingFunction::kLineBytes;
+    pair_[0] = line * dram::MappingFunction::kLineBytes;
+    pair_[1] = (line ^ delta) * dram::MappingFunction::kLineBytes;
+    delta_ = delta;
     reads_done_ = 0;
     min_latency_ = 0;
-    measure_cb_ = std::move(cb);
     result_.probes += 1;
-    mark_ = system_.now();
+    load_.restart();
     measureStep();
 }
 
@@ -110,29 +123,55 @@ MappingRecovery::measureStep()
     // left open); the min over the steady-state reads is the
     // statistic, so a refresh / RFM / PRAC back-off landing on some
     // iterations cannot fake a conflict.
-    if (reads_done_ >= 2 * cfg_.samples_per_pair) {
-        const bool conflict =
-            min_latency_ >= cfg_.classifier.conflict_min;
-        // Hand off via a local: the callback usually starts the next
-        // measurement, which overwrites measure_cb_.
-        const auto cb = std::move(measure_cb_);
-        cb(conflict);
+    if (reads_done_ >= 2 * kSamplesPerPair) {
+        onMeasured(min_latency_ >= cfg_.classifier.conflict_min);
         return;
     }
-    const std::uint64_t addr = pair_[reads_done_ & 1];
-    reads_done_ += 1;
-    system_.schedule(cfg_.iter_overhead, [this, addr] {
-        system_.issueRead(addr, cfg_.source, [this] {
-            const Tick done = system_.now();
-            const Tick latency = done - mark_;
-            mark_ = done;
+    load_.next(
+        0, [this] { return pair_[reads_done_++ & 1]; },
+        [this](Tick latency) {
             result_.accesses += 1;
             if (reads_done_ > 2 &&
                 (min_latency_ == 0 || latency < min_latency_))
                 min_latency_ = latency;
             measureStep();
         });
-    });
+}
+
+void
+MappingRecovery::onMeasured(bool conflict)
+{
+    switch (phase_) {
+      case Phase::kCollect:
+        if (conflict) {
+            // The delta preserved the bank set and flipped the row: a sample
+            // of the bank functions' null space.
+            conflict_span_.insert(delta_);
+            if (raw_conflicts_.size() < 16)
+                raw_conflicts_.push_back(delta_);
+        }
+        collectNext();
+        return;
+      case Phase::kValidate:
+        if (!conflict)
+            validation_failed_ += 1;
+        validateNext();
+        return;
+      case Phase::kClassify:
+        if (conflict)
+            row_flippers_.push_back(delta_);
+        else
+            column_span_.insert(delta_);
+        classifyNext();
+        return;
+      case Phase::kRefine:
+        if (!conflict)
+            column_span_.insert(delta_);
+        refineNext();
+        return;
+      case Phase::kDone:
+        return;
+    }
 }
 
 // ------------------------------------------- phase 1: bank functions
@@ -140,7 +179,7 @@ MappingRecovery::measureStep()
 void
 MappingRecovery::startCollectRound()
 {
-    if (result_.rounds >= cfg_.max_rounds) {
+    if (result_.rounds >= kMaxRounds) {
         // Budget exhausted: report failure (bank_solved stays false).
         finish();
         return;
@@ -160,17 +199,7 @@ MappingRecovery::collectNext()
     }
     round_pairs_ += 1;
     const std::uint64_t a = randomLine();
-    const std::uint64_t d = randomWindowDelta();
-    measurePair(a, a ^ d, [this, d](bool conflict) {
-        if (conflict) {
-            // d preserved the bank set and flipped the row: a sample
-            // of the bank functions' null space.
-            conflict_span_.insert(d);
-            if (raw_conflicts_.size() < 16)
-                raw_conflicts_.push_back(d);
-        }
-        collectNext();
-    });
+    measurePair(a, randomWindowDelta());
 }
 
 void
@@ -199,7 +228,7 @@ MappingRecovery::finishCollectRound()
 void
 MappingRecovery::widenWindow()
 {
-    if (window_idx_ + 1 < cfg_.windows.size())
+    if (window_idx_ + 1 < kWindows.size())
         window_idx_ += 1;
     stalled_rounds_ = 0;
 }
@@ -223,7 +252,7 @@ MappingRecovery::startValidation()
 void
 MappingRecovery::validateNext()
 {
-    if (validation_done_ >= cfg_.validation_pairs) {
+    if (validation_done_ >= kValidationPairs) {
         finishValidation();
         return;
     }
@@ -239,12 +268,7 @@ MappingRecovery::validateNext()
     std::uint64_t d = d0 ^ randomCombination(candidate_kernel_);
     if (d == 0)
         d = d0;
-    const std::uint64_t a = randomLine();
-    measurePair(a, a ^ d, [this](bool conflict) {
-        if (!conflict)
-            validation_failed_ += 1;
-        validateNext();
-    });
+    measurePair(randomLine(), d);
 }
 
 void
@@ -296,14 +320,7 @@ MappingRecovery::classifyNext()
     }
     const std::uint64_t v = null_basis_[classify_idx_];
     classify_idx_ += 1;
-    const std::uint64_t a = randomLine();
-    measurePair(a, a ^ v, [this, v](bool conflict) {
-        if (conflict)
-            row_flippers_.push_back(v);
-        else
-            column_span_.insert(v);
-        classifyNext();
-    });
+    measurePair(randomLine(), v);
 }
 
 void
@@ -325,7 +342,7 @@ MappingRecovery::refineNext()
     // fold row bits into the same masks). Probe pairwise XORs of the
     // flippers until the kernel reaches its known dimension.
     while (column_span_.rank() < col_bits_ &&
-           refine_tests_ < cfg_.max_refine_tests &&
+           refine_tests_ < kMaxRefineTests &&
            refine_i_ + 1 < row_flippers_.size()) {
         if (refine_j_ >= row_flippers_.size()) {
             refine_i_ += 1;
@@ -338,12 +355,7 @@ MappingRecovery::refineNext()
         if (column_span_.contains(v))
             continue;
         refine_tests_ += 1;
-        const std::uint64_t a = randomLine();
-        measurePair(a, a ^ v, [this, v](bool conflict) {
-            if (!conflict)
-                column_span_.insert(v);
-            refineNext();
-        });
+        measurePair(randomLine(), v);
         return;
     }
     finish();

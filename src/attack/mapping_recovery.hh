@@ -24,7 +24,6 @@
 #define LEAKY_ATTACK_MAPPING_RECOVERY_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "attack/probe.hh"
@@ -37,24 +36,8 @@ namespace leaky::attack {
 /** Knobs of the online recovery loop. */
 struct MappingRecoveryConfig {
     LatencyClassifier classifier;
-    /** Alternating read pairs per timing measurement (2N reads; the
-     *  min latency of the steady-state reads is the statistic, which
-     *  filters refresh/RFM/back-off inflation from any defense). */
-    std::uint32_t samples_per_pair = 4;
     /** Random difference probes per collection round. */
     std::uint32_t pairs_per_round = 48;
-    /** Constructed full-range probes per validation pass. */
-    std::uint32_t validation_pairs = 12;
-    /** Difference-window schedule in line bits (0 = all line bits).
-     *  Each widening is one more adaptive round; complex mappings
-     *  fail validation in narrow windows and climb the schedule. */
-    std::vector<std::uint32_t> windows = {16, 22, 26, 0};
-    std::uint32_t max_rounds = 64;
-    /** Cap on pairwise-XOR refinement probes in the row phase. */
-    std::uint32_t max_refine_tests = 64;
-    /** Non-memory work per access (clflush + timer, as in Listing 1). */
-    Tick iter_overhead = 15'000;
-    std::int32_t source = 150;
     std::uint64_t seed = 1;
 };
 
@@ -88,7 +71,7 @@ class MappingRecovery
 
     /** Begin probing; @p on_done fires once recovery finishes (or the
      *  round budget is exhausted — check result().bank_solved). */
-    void start(std::function<void()> on_done = {});
+    void start(sim::SmallFn on_done = {});
 
     const RecoveredMapping &result() const { return result_; }
 
@@ -107,10 +90,12 @@ class MappingRecovery
     std::uint64_t randomCombination(
         const std::vector<std::uint64_t> &basis);
 
-    /** Time one (a, b) pair; @p cb receives "was a row conflict". */
-    void measurePair(std::uint64_t line_a, std::uint64_t line_b,
-                     std::function<void(bool)> cb);
+    /** Time the pair (@p line, @p line ^ @p delta); the verdict "was a
+     *  row conflict" goes to onMeasured. */
+    void measurePair(std::uint64_t line, std::uint64_t delta);
     void measureStep();
+    /** Act on a pair's verdict for the current phase. */
+    void onMeasured(bool conflict);
 
     void startCollectRound();
     void collectNext();
@@ -127,7 +112,8 @@ class MappingRecovery
 
     sys::System &system_;
     MappingRecoveryConfig cfg_;
-    std::function<void()> on_done_;
+    TimedLoad load_;
+    sim::SmallFn on_done_;
     sim::Rng rng_;
     RecoveredMapping result_;
 
@@ -142,10 +128,9 @@ class MappingRecovery
 
     // In-flight measurement state.
     std::uint64_t pair_[2] = {0, 0};
+    std::uint64_t delta_ = 0; ///< Line-space difference of the pair.
     std::uint32_t reads_done_ = 0;
-    Tick mark_ = 0;
     Tick min_latency_ = 0;
-    std::function<void(bool)> measure_cb_;
 
     // Collection state (line space, i.e. physical >> 6).
     dram::gf2::BitBasis conflict_span_;

@@ -1,5 +1,6 @@
 #include "attack/noise.hh"
 
+#include "attack/probe.hh"
 #include "sim/logging.hh"
 
 namespace leaky::attack {
@@ -29,12 +30,12 @@ NoiseAgent::loop()
     // wall clock (sleep between activations), not by load-to-use
     // dependencies, so its request rate is sleep-controlled even when
     // DRAM is slow.
-    system_.schedule(cfg_.iter_overhead + cfg_.sleep, [this] {
+    system_.schedule(kLoopOverhead + cfg_.sleep, [this] {
         if (!running_)
             return;
         const std::uint64_t addr = cfg_.addrs[next_];
         next_ = (next_ + 1) % cfg_.addrs.size();
-        system_.issueRead(addr, cfg_.source, [this] { accesses_ += 1; });
+        system_.issueRead(addr, [this] { accesses_ += 1; });
         loop();
     });
 }

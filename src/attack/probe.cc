@@ -18,9 +18,11 @@ latencyClassName(LatencyClass c)
 }
 
 LatencyClassifier
-LatencyClassifier::forTiming(const dram::Timing &timing, Tick base_latency,
+LatencyClassifier::forTiming(const dram::Timing &timing,
                              std::uint32_t rfms_per_backoff)
 {
+    // The Listing-1 loop floor every band below is offset from.
+    constexpr Tick base_latency = 90'000;
     LatencyClassifier c;
     // A conflict costs tRP + tRCD + tCL on top of the loop floor.
     c.conflict_min = base_latency / 2 + timing.tRP;
@@ -36,7 +38,7 @@ LatencyClassifier::forTiming(const dram::Timing &timing, Tick base_latency,
 }
 
 LatencyProbe::LatencyProbe(sys::System &system, ProbeConfig cfg)
-    : system_(system), cfg_(std::move(cfg))
+    : system_(system), cfg_(std::move(cfg)), load_(system)
 {
     LEAKY_ASSERT(!cfg_.addrs.empty(), "probe needs at least one address");
     // The channel field is the collector's contract (stats are read
@@ -49,10 +51,10 @@ LatencyProbe::LatencyProbe(sys::System &system, ProbeConfig cfg)
 }
 
 void
-LatencyProbe::start(std::function<void()> on_done)
+LatencyProbe::start(sim::SmallFn on_done)
 {
     on_done_ = std::move(on_done);
-    mark_ = system_.now();
+    load_.restart();
     iterate();
 }
 
@@ -64,17 +66,12 @@ LatencyProbe::iterate()
             on_done_();
         return;
     }
-    const std::uint64_t addr = cfg_.addrs[iter_ % cfg_.addrs.size()];
-    iter_ += 1;
-    // clflush + loop overhead, then the (cache-bypassing) access.
-    system_.schedule(cfg_.iter_overhead, [this, addr] {
-        system_.issueRead(addr, cfg_.source, [this] {
-            const Tick done = system_.now();
-            samples_.push_back({done, done - mark_});
-            mark_ = done;
+    load_.next(
+        0, [this] { return cfg_.addrs[iter_++ % cfg_.addrs.size()]; },
+        [this](Tick latency) {
+            samples_.push_back({system_.now(), latency});
             iterate();
         });
-    });
 }
 
 } // namespace leaky::attack

@@ -1,17 +1,19 @@
 /**
  * @file
- * Memory-request latency measurement routine (paper Listing 1) and the
- * latency classifier used by every LeakyHammer attack. The probe
- * replicates the userspace loop: clflush + load + timestamp, with the
- * previous iteration's end timestamp reused as the next start, so each
- * sample is (loop overhead + memory latency) exactly as in §6.2.
+ * Memory-request latency measurement (paper Listing 1): the timed load
+ * every LeakyHammer attack agent is built on, the latency classifier
+ * they all decode with, and the Fig. 2 probe. A timed load replicates
+ * the userspace loop: clflush + load + timestamp, with the previous
+ * iteration's end timestamp reused as the next start, so each sample is
+ * (loop overhead + memory latency) exactly as in §6.2.
  */
 
 #ifndef LEAKY_ATTACK_PROBE_HH
 #define LEAKY_ATTACK_PROBE_HH
 
 #include <cstdint>
-#include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "dram/config.hh"
@@ -66,8 +68,52 @@ struct LatencyClassifier {
      *        is exactly the Fig. 11 sensitivity.
      */
     static LatencyClassifier forTiming(const dram::Timing &timing,
-                                       Tick base_latency = 90'000,
                                        std::uint32_t rfms_per_backoff = 4);
+};
+
+/** Non-memory work per Listing-1 iteration: clflush + timer + loop. */
+inline constexpr Tick kLoopOverhead = 15'000;
+
+/**
+ * Listing 1's timed load, the one measurement every attack agent makes.
+ * Each latency runs from the previous completion (or restart()), so it
+ * is loop overhead + any extra gap + memory latency, as userspace sees
+ * it. Agents keep only their decisions: what to load next, and what a
+ * latency means.
+ */
+class TimedLoad
+{
+  public:
+    explicit TimedLoad(sys::System &system) : system_(system) {}
+
+    /** Measure the next latency from now. */
+    void restart() { mark_ = system_.now(); }
+
+    /** After kLoopOverhead + @p gap, load `*pick()` past the caches
+     *  (nothing if it is std::nullopt: the loop stopped meanwhile) and
+     *  pass @p on_latency its latency. */
+    template <typename Pick, typename OnLatency>
+    void
+    next(Tick gap, Pick pick, OnLatency on_latency)
+    {
+        auto fire = [this, pick, on_latency]() mutable {
+            const std::optional<std::uint64_t> addr = pick();
+            if (!addr)
+                return;
+            system_.issueRead(*addr, [this, on_latency]() mutable {
+                const Tick latency = system_.now() - mark_;
+                mark_ = system_.now();
+                on_latency(latency);
+            });
+        };
+        static_assert(sizeof(fire) <= sim::SmallFn::kInlineBytes,
+                      "a timed load must fit SmallFn's inline buffer");
+        system_.schedule(kLoopOverhead + gap, std::move(fire));
+    }
+
+  private:
+    sys::System &system_;
+    Tick mark_ = 0;
 };
 
 /** Listing-1 probe configuration. */
@@ -77,9 +123,6 @@ struct ProbeConfig {
      *  probe observes; result collectors read that channel's stats. */
     std::uint32_t channel = 0;
     std::uint32_t iterations = 512;
-    /** Non-memory work per iteration: clflush + timer + loop control. */
-    Tick iter_overhead = 15'000;
-    std::int32_t source = 100;
 };
 
 /** The paper's Listing-1 measurement routine as a simulation agent. */
@@ -89,7 +132,7 @@ class LatencyProbe
     LatencyProbe(sys::System &system, ProbeConfig cfg);
 
     /** Begin probing; @p on_done fires after the last iteration. */
-    void start(std::function<void()> on_done = {});
+    void start(sim::SmallFn on_done = {});
 
     const std::vector<LatencySample> &samples() const { return samples_; }
 
@@ -98,10 +141,10 @@ class LatencyProbe
 
     sys::System &system_;
     ProbeConfig cfg_;
-    std::function<void()> on_done_;
+    TimedLoad load_;
+    sim::SmallFn on_done_;
     std::vector<LatencySample> samples_;
     std::uint32_t iter_ = 0;
-    Tick mark_ = 0;
 };
 
 } // namespace leaky::attack

@@ -90,7 +90,7 @@ appTraces(const std::vector<workload::AppSpec> &apps,
 
 /**
  * Build and start one TraceCore per app, replaying @p traces (one per
- * app), with source ids counting up from @p first_source. @p inst_budget
+ * app). @p inst_budget
  * caps each core's retired instructions; @p large_caches swaps in the
  * §10.3 hierarchy and prefetcher. The caller keeps the cores alive
  * while the system runs.
@@ -98,13 +98,11 @@ appTraces(const std::vector<workload::AppSpec> &apps,
 std::vector<std::unique_ptr<sys::TraceCore>>
 startCores(sys::System &system, const std::vector<workload::AppSpec> &apps,
            const std::vector<sys::SharedTrace> &traces,
-           std::uint64_t inst_budget, std::int32_t first_source,
-           bool large_caches = false)
+           std::uint64_t inst_budget, bool large_caches = false)
 {
     LEAKY_ASSERT(traces.size() == apps.size(), "%zu traces for %zu apps",
                  traces.size(), apps.size());
     std::vector<std::unique_ptr<sys::TraceCore>> cores;
-    std::int32_t source = first_source;
     for (std::size_t i = 0; i < apps.size(); ++i) {
         sys::CoreConfig core_cfg;
         core_cfg.inst_budget = inst_budget;
@@ -114,7 +112,7 @@ startCores(sys::System &system, const std::vector<workload::AppSpec> &apps,
             core_cfg.enable_prefetcher = true;
         }
         cores.push_back(std::make_unique<sys::TraceCore>(
-            system, core_cfg, traces[i], source++));
+            system, core_cfg, traces[i]));
         cores.back()->start();
     }
     return cores;
@@ -122,9 +120,6 @@ startCores(sys::System &system, const std::vector<workload::AppSpec> &apps,
 
 /** Budget of background cores that run for the whole experiment. */
 constexpr std::uint64_t kRunForever = ~std::uint64_t{0} >> 1;
-
-/** First source id of background cores (attackers use 200+). */
-constexpr std::int32_t kBackgroundSource = 10;
 
 } // namespace
 
@@ -154,7 +149,7 @@ runLatencyTrace(std::uint32_t iterations, std::uint32_t rfms_per_backoff)
     LatencyTraceResult result;
     result.samples = probe.samples();
     result.classifier = attack::LatencyClassifier::forTiming(
-        cfg.ctrl.dram.timing, 90'000, rfms_per_backoff);
+        cfg.ctrl.dram.timing, rfms_per_backoff);
     result.backoffs = system.stats(probe_cfg.channel).backoffs;
     result.refreshes = system.stats(probe_cfg.channel).refreshes;
     result.reads_served = system.stats(probe_cfg.channel).reads_served;
@@ -305,7 +300,7 @@ runChannelOn(sys::System &system, const ChannelRunSpec &spec)
     }
     auto background = startCores(
         system, spec.background, appTraces(spec.background, system.mapper()),
-        kRunForever, kBackgroundSource, spec.large_caches);
+        kRunForever, spec.large_caches);
 
     const auto bits = attack::patternBits(
         spec.pattern, spec.message_bytes * 8);
@@ -386,7 +381,7 @@ collectOneFingerprint(const FingerprintSpec &spec, std::uint32_t site,
         core_cfg.caches = sys::CacheHierarchyConfig::largeHierarchy();
         core_cfg.enable_prefetcher = true;
     }
-    sys::TraceCore browser(system, core_cfg, std::move(trace), 1);
+    sys::TraceCore browser(system, core_cfg, std::move(trace));
     browser.start();
 
     std::vector<std::unique_ptr<sys::TraceCore>> background;
@@ -396,8 +391,7 @@ collectOneFingerprint(const FingerprintSpec &spec, std::uint32_t site,
                 [site % 3]};
         background = startCores(system, apps,
                                 appTraces(apps, system.mapper()),
-                                kRunForever, kBackgroundSource,
-                                spec.large_caches);
+                                kRunForever, spec.large_caches);
     }
 
     // The attacker's probe, placed away from the browser's rows;
@@ -483,15 +477,12 @@ runCounterLeakTrial(std::uint32_t secret)
     attack::CounterLeakVictim victim(system, shared, victim_conflict);
     attack::CounterLeakAttacker attacker(system, leak_cfg);
 
-    attack::CounterLeakResult result;
     bool done = false;
-    victim.prime(secret, [&] {
-        attacker.leak([&](const attack::CounterLeakResult &r) {
-            result = r;
-            done = true;
-        });
+    victim.prime(secret, [&attacker, &done] {
+        attacker.start([&done] { done = true; });
     });
     runUntilDone(system, done, "counter leak");
+    const attack::CounterLeakResult &result = attacker.result();
 
     CounterLeakTrial trial;
     trial.secret = secret;
@@ -518,13 +509,9 @@ runMultiChannelAggregate(const MultiChannelSpec &spec)
     // mean the pairs never contend for counter state — only the event
     // queue is shared.
     std::vector<attack::CovertConfig> cfgs;
-    for (std::uint32_t ch = 0; ch < spec.channels; ++ch) {
+    for (std::uint32_t ch = 0; ch < spec.channels; ++ch)
         cfgs.push_back(attack::makeChannelConfig(
             system, ChannelKind::kPrac, 2, ch));
-        cfgs.back().sender_source = 200 + static_cast<std::int32_t>(2 * ch);
-        cfgs.back().receiver_source =
-            201 + static_cast<std::int32_t>(2 * ch);
-    }
     const auto bits =
         attack::patternBits(spec.pattern, spec.message_bytes * 8);
 
@@ -680,7 +667,7 @@ sharedWs(DefenseKind kind, std::uint32_t nrh, const workload::Mix &mix,
                  "traces composed through '%s' replayed on '%s'",
                  base.mapping.str().c_str(),
                  system.mapper().spec().str().c_str());
-    auto cores = startCores(system, mix.apps, base.traces, insts_per_core, 0);
+    auto cores = startCores(system, mix.apps, base.traces, insts_per_core);
     runCoresToBudget(system, cores, kPerfRunCap);
     std::vector<double> ipc_shared;
     for (const auto &core : cores)
@@ -703,7 +690,7 @@ perfBaseline(const workload::Mix &mix, std::uint64_t insts_per_core)
     for (std::size_t i = 0; i < mix.apps.size(); ++i) {
         sys::System system(cfg);
         auto cores = startCores(system, {mix.apps[i]}, {base.traces[i]},
-                                insts_per_core, 0);
+                                insts_per_core);
         runCoresToBudget(system, cores, kPerfRunCap);
         base.ipc_alone.push_back(cores[0]->ipcAt(system.now()));
     }

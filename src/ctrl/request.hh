@@ -26,7 +26,6 @@ struct Request {
     // without a padding hole.
     std::uint64_t phys_addr = 0;
     Address addr; ///< Decoded coordinates (filled by the system front-end).
-    std::int32_t source = 0; ///< Requestor id (core/agent) for stats.
     Type type = Type::kRead;
 
     /** Invoked when the data burst completes (reads) or when the write is

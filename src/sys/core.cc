@@ -7,12 +7,11 @@
 namespace leaky::sys {
 
 TraceCore::TraceCore(System &system, const CoreConfig &cfg,
-                     SharedTrace trace, std::int32_t source_id)
+                     SharedTrace trace, std::int32_t)
     : system_(system), cfg_(cfg), trace_(std::move(trace)),
-      source_(source_id), caches_(cfg.caches)
+      caches_(cfg.caches)
 {
-    LEAKY_ASSERT(trace_ && !trace_->empty(), "core %d has an empty trace",
-                 source_id);
+    LEAKY_ASSERT(trace_ && !trace_->empty(), "core has an empty trace");
     outstanding_.reserve(cfg_.mshrs);
     waiters_.reserve(cfg_.mshrs);
     woken_.reserve(cfg_.mshrs);
@@ -20,11 +19,10 @@ TraceCore::TraceCore(System &system, const CoreConfig &cfg,
 }
 
 TraceCore::TraceCore(System &system, const CoreConfig &cfg,
-                     std::vector<TraceEntry> trace, std::int32_t source_id)
+                     std::vector<TraceEntry> trace, std::int32_t)
     : TraceCore(system, cfg,
                 std::make_shared<const std::vector<TraceEntry>>(
-                    std::move(trace)),
-                source_id)
+                    std::move(trace)))
 {
 }
 
@@ -80,14 +78,14 @@ TraceCore::install(std::uint64_t addr, bool dirty)
     fill_.writebacks.clear();
     caches_.fill(addr, dirty, fill_);
     for (auto wb : fill_.writebacks)
-        system_.issueWrite(wb, source_);
+        system_.issueWrite(wb);
 }
 
 void
 TraceCore::issuePrefetch(std::uint64_t line_addr)
 {
     const std::uint64_t addr = line_addr * 64;
-    system_.issueRead(addr, source_, [this, addr] {
+    system_.issueRead(addr, [this, addr] {
         install(addr, false);
         prefetcher_.onFill(addr / 64);
     });
@@ -187,7 +185,7 @@ TraceCore::dispatch()
                     const Tick issue_delay =
                         (ready_time_ - now) + result.latency;
                     system_.schedule(issue_delay, [this, addr] {
-                        system_.issueRead(addr, source_,
+                        system_.issueRead(addr,
                                           [this, addr] { onFill(addr); });
                     });
                 }

@@ -53,13 +53,16 @@ struct CoreConfig {
 class TraceCore
 {
   public:
-    /** Replay @p trace, which the core shares and never modifies. */
+    /** Replay @p trace, which the core shares and never modifies.
+     *  The trailing int (a requestor id nothing reads) is ignored; it
+     *  is kept only while figbench/layers.cc still passes it. */
     TraceCore(System &system, const CoreConfig &cfg, SharedTrace trace,
-              std::int32_t source_id);
+              std::int32_t = 0);
 
-    /** Replay a trace of the core's own. */
+    /** Replay a trace of the core's own (trailing int ignored, as
+     *  above). */
     TraceCore(System &system, const CoreConfig &cfg,
-              std::vector<TraceEntry> trace, std::int32_t source_id);
+              std::vector<TraceEntry> trace, std::int32_t = 0);
 
     /** Begin execution at the current simulation time. */
     void start();
@@ -104,7 +107,6 @@ class TraceCore
     System &system_;
     CoreConfig cfg_;
     SharedTrace trace_;
-    std::int32_t source_;
     CacheHierarchy caches_;
     BestOffsetPrefetcher prefetcher_;
 

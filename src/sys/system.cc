@@ -103,7 +103,7 @@ System::dispatchPending(PendingSlot &slot)
 
 void
 System::submit(ctrl::Request::Type type, std::uint64_t phys_addr,
-               std::int32_t source, sim::SmallFn &&on_complete)
+               sim::SmallFn &&on_complete)
 {
     if (pending_free_ == kNoSlot) {
         pending_.emplace_back();
@@ -123,7 +123,6 @@ System::submit(ctrl::Request::Type type, std::uint64_t phys_addr,
     req.type = type;
     req.phys_addr = phys_addr;
     req.addr = mapper_.decode(phys_addr);
-    req.source = source;
     req.on_complete = std::move(on_complete);
     eq_.scheduleAfter(slot.retry, cfg_.frontend_latency);
 }

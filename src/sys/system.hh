@@ -96,11 +96,11 @@ class System
      */
     template <typename F>
     void
-    issueRead(std::uint64_t phys_addr, std::int32_t source, F &&on_data)
+    issueRead(std::uint64_t phys_addr, F &&on_data)
     {
         // The controller fires this at the burst end; the data still
         // has to travel back, one more front-end hop.
-        submit(ctrl::Request::Type::kRead, phys_addr, source,
+        submit(ctrl::Request::Type::kRead, phys_addr,
                [this, on_data = std::forward<F>(on_data)]() mutable {
                    eq_.scheduleAfter(cfg_.frontend_latency,
                                      std::move(on_data));
@@ -109,9 +109,9 @@ class System
 
     /** Issue a posted write. */
     void
-    issueWrite(std::uint64_t phys_addr, std::int32_t source)
+    issueWrite(std::uint64_t phys_addr)
     {
-        submit(ctrl::Request::Type::kWrite, phys_addr, source, {});
+        submit(ctrl::Request::Type::kWrite, phys_addr, {});
     }
 
     /** Physical-address <-> DRAM-coordinate mapping. */
@@ -143,7 +143,7 @@ class System
     /** Stash a request in a pending slot and dispatch it one
      *  front-end hop from now. */
     void submit(ctrl::Request::Type type, std::uint64_t phys_addr,
-                std::int32_t source, sim::SmallFn &&on_complete);
+                sim::SmallFn &&on_complete);
     /** Try to hand the slot's request to its controller; keep
      *  retrying on a full queue. The slot is freed only once the
      *  enqueue lands. */

@@ -44,7 +44,7 @@ TEST(FingerprintProbe, ObservesVictimBackoffsChannelWide)
     std::function<void()> victim = [&] {
         const auto a = attack::rowAddress(system.mapper(), 0, 0, 0, 0,
                                           served % 2 ? 100u : 200u);
-        system.issueRead(a, 7, [&] {
+        system.issueRead(a, [&] {
             served += 1;
             system.schedule(15'000, victim);
         });
@@ -140,16 +140,13 @@ TEST(CounterLeak, RecoversSecretWithinTwoCounts)
             attack::rowAddress(system.mapper(), 0, 0, 0, 0, 2000));
         attack::CounterLeakAttacker attacker(system, leak_cfg);
 
-        attack::CounterLeakResult result;
         bool done = false;
-        victim.prime(secret, [&] {
-            attacker.leak([&](const attack::CounterLeakResult &r) {
-                result = r;
-                done = true;
-            });
+        victim.prime(secret, [&attacker, &done] {
+            attacker.start([&done] { done = true; });
         });
         while (!done)
             system.run(sim::kMs);
+        const attack::CounterLeakResult &result = attacker.result();
 
         EXPECT_NEAR(static_cast<double>(result.leaked_count),
                     static_cast<double>(secret), 2.0)

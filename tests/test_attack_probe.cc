@@ -33,10 +33,8 @@ TEST(LatencyClassifier, ClassifiesRepresentativeLatencies)
 
 TEST(LatencyClassifier, FewerRecoveryRfmsLowerTheBackoffBand)
 {
-    const auto four = LatencyClassifier::forTiming(dram::Timing{},
-                                                   90'000, 4);
-    const auto one = LatencyClassifier::forTiming(dram::Timing{},
-                                                  90'000, 1);
+    const auto four = LatencyClassifier::forTiming(dram::Timing{}, 4);
+    const auto one = LatencyClassifier::forTiming(dram::Timing{}, 1);
     EXPECT_LT(one.backoff_min, four.backoff_min);
     // With one RFM the band collapses into the refresh range: the
     // Fig. 11 observation.

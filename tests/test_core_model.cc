@@ -50,7 +50,7 @@ TEST_F(TraceCoreTest, ComputeBoundRunsNearPeakIpc)
     CoreConfig cfg;
     cfg.inst_budget = 100'000;
     // Very sparse memory accesses: IPC should approach the 4-wide peak.
-    TraceCore core(system_, cfg, computeTrace(10'000, 64), 0);
+    TraceCore core(system_, cfg, computeTrace(10'000, 64));
     core.start();
     system_.run(2 * leaky::sim::kMs);
     ASSERT_TRUE(core.budgetDone());
@@ -63,7 +63,7 @@ TEST_F(TraceCoreTest, MemoryBoundIpcIsMuchLower)
     CoreConfig cfg;
     cfg.inst_budget = 20'000;
     cfg.mshrs = 1; // Fully serialised misses.
-    TraceCore core(system_, cfg, computeTrace(2, 4096), 0);
+    TraceCore core(system_, cfg, computeTrace(2, 4096));
     core.start();
     system_.run(20 * leaky::sim::kMs);
     ASSERT_TRUE(core.budgetDone());
@@ -77,7 +77,7 @@ TEST_F(TraceCoreTest, MoreMlpImprovesMemoryBoundIpc)
         CoreConfig cfg;
         cfg.inst_budget = 20'000;
         cfg.mshrs = mshrs;
-        TraceCore core(system, cfg, computeTrace(2, 4096), 0);
+        TraceCore core(system, cfg, computeTrace(2, 4096));
         core.start();
         system.run(20 * leaky::sim::kMs);
         EXPECT_TRUE(core.budgetDone());
@@ -98,7 +98,7 @@ TEST_F(TraceCoreTest, CacheHitsAvoidMemory)
         e.non_mem_insts = 50;
         e.addr = 0x4000;
     }
-    TraceCore core(system_, cfg, trace, 0);
+    TraceCore core(system_, cfg, trace);
     core.start();
     system_.run(2 * leaky::sim::kMs);
     ASSERT_TRUE(core.budgetDone());
@@ -110,7 +110,7 @@ TEST_F(TraceCoreTest, TraceLoopsForever)
 {
     CoreConfig cfg;
     cfg.inst_budget = 1'000'000; // Much larger than one trace pass.
-    TraceCore core(system_, cfg, computeTrace(100, 32), 0);
+    TraceCore core(system_, cfg, computeTrace(100, 32));
     core.start();
     system_.run(leaky::sim::kMs);
     EXPECT_GT(core.instsRetired(), 32u * 101);
@@ -120,7 +120,7 @@ TEST_F(TraceCoreTest, IpcAtTracksPartialProgress)
 {
     CoreConfig cfg;
     cfg.inst_budget = ~std::uint64_t{0} >> 1;
-    TraceCore core(system_, cfg, computeTrace(100, 256), 0);
+    TraceCore core(system_, cfg, computeTrace(100, 256));
     core.start();
     system_.run(200 * leaky::sim::kUs);
     EXPECT_FALSE(core.budgetDone());
@@ -148,7 +148,7 @@ TEST_F(TraceCoreTest, SharedTraceReplaysLikeAnOwnedCopy)
         System system(SystemConfig::paper(DefenseKind::kNone));
         CoreConfig cfg;
         cfg.inst_budget = 100'000;
-        TraceCore core(system, cfg, std::move(core_trace), 0);
+        TraceCore core(system, cfg, std::move(core_trace));
         core.start();
         system.run(3 * leaky::sim::kMs);
         Outcome out{core.instsRetired(), core.memReads(), core.memWrites(),
@@ -183,7 +183,7 @@ TEST_F(TraceCoreTest, WritesArePosted)
         e.is_write = true;
         trace.push_back(e);
     }
-    TraceCore core(system_, cfg, trace, 0);
+    TraceCore core(system_, cfg, trace);
     core.start();
     system_.run(2 * leaky::sim::kMs);
     ASSERT_TRUE(core.budgetDone());

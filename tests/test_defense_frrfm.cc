@@ -102,7 +102,7 @@ TEST(FrRfmSecurity, RfmTimesIndependentOfTraffic)
             const auto a = attack::rowAddress(
                 system.mapper(), 0, 0, 0, 0,
                 served % 2 ? 100u : 200u);
-            system.issueRead(a, 0, [&] {
+            system.issueRead(a, [&] {
                 served += 1;
                 system.schedule(15'000, hammer);
             });

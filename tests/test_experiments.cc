@@ -44,9 +44,9 @@ TEST(Experiments, ChannelRunProducesMetrics)
 
 TEST(Experiments, OnePairAggregateMatchesRunChannel)
 {
-    // Both entry points default to the PRAC channel at NBO = 128 with
-    // sources 200/201, so one pair must transmit exactly as runChannel
-    // does: they share one transmission path.
+    // Both entry points default to the PRAC channel at NBO = 128 on
+    // channel 0, so one pair must transmit exactly as runChannel does:
+    // they share one transmission path.
     core::MultiChannelSpec cell;
     cell.channels = 1;
     cell.pattern = attack::MessagePattern::kCheckered1;

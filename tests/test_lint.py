@@ -143,6 +143,9 @@ class GrammarTable(unittest.TestCase):
         ("small_fn_in_ctrl_accepted", "src/ctrl/foo.hh",
          "struct Request { sim::SmallFn on_complete; };\n",
          []),
+        ("std_function_in_attack_rejected", "src/attack/foo.hh",
+         "class Probe { std::function<void()> on_done_; };\n",
+         ["no-std-function-on-memory-path"]),
         # ------------------------------------------- no-raw-assert
         ("raw_assert_rejected", "src/sim/foo.cc",
          "void f(int x) { assert(x > 0); }\n",

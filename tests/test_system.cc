@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "attack/covert.hh"
 #include "attack/dram_addr.hh"
 #include "attack/probe.hh"
 #include "core/experiments.hh"
@@ -31,7 +32,7 @@ TEST(System, ReadCompletesWithFrontendLatency)
     const auto addr =
         leaky::attack::rowAddress(system.mapper(), 0, 0, 0, 0, 10);
     Tick done = 0;
-    system.issueRead(addr, 0, [&] { done = system.now(); });
+    system.issueRead(addr, [&] { done = system.now(); });
     system.run(leaky::sim::kUs);
     ASSERT_GT(done, 0u);
     const auto &t = system.controller(0).config().dram.timing;
@@ -47,7 +48,7 @@ TEST(System, WritesAreFireAndForget)
     System system(SystemConfig::paper(DefenseKind::kNone));
     const auto addr =
         leaky::attack::rowAddress(system.mapper(), 0, 0, 0, 0, 10);
-    system.issueWrite(addr, 0);
+    system.issueWrite(addr);
     system.run(leaky::sim::kUs);
     EXPECT_EQ(system.controller(0).stats().writes_served, 1u);
 }
@@ -63,7 +64,7 @@ TEST(System, FullQueueRetriesUntilServed)
         const auto addr = leaky::attack::rowAddress(
             system.mapper(), 0, 0, 0, 0,
             static_cast<std::uint32_t>(i % 2 ? 100 : 200));
-        system.issueRead(addr, 0, [&completions] {
+        system.issueRead(addr, [&completions] {
             completions += 1;
         });
     }
@@ -81,8 +82,8 @@ TEST(System, MultiChannelRoutesByAddress)
     const auto ch1 =
         leaky::attack::rowAddress(system.mapper(), 1, 0, 0, 0, 10);
     int done = 0;
-    system.issueRead(ch0, 0, [&done] { done += 1; });
-    system.issueRead(ch1, 0, [&done] { done += 1; });
+    system.issueRead(ch0, [&done] { done += 1; });
+    system.issueRead(ch1, [&done] { done += 1; });
     system.run(leaky::sim::kUs);
     EXPECT_EQ(done, 2);
     EXPECT_EQ(system.controller(0).stats().reads_served, 1u);
@@ -110,10 +111,10 @@ TEST(System, PerChannelStatsSumToAggregate)
         const auto addr = leaky::attack::rowAddress(
             system.mapper(), i < 4 ? 0 : 1, 0, 0, 0,
             static_cast<std::uint32_t>(10 + i));
-        system.issueRead(addr, 0, [] {});
+        system.issueRead(addr, [] {});
     }
     system.issueWrite(
-        leaky::attack::rowAddress(system.mapper(), 1, 0, 0, 0, 99), 0);
+        leaky::attack::rowAddress(system.mapper(), 1, 0, 0, 0, 99));
     system.run(50 * leaky::sim::kUs);
 
     const auto &ch0 = system.stats(0);
@@ -234,15 +235,13 @@ TEST(SystemAllocation, TraceCoreSystemSteadyStateDoesNotAllocate)
     cfg.defense.warm_counters = true;
     System system(cfg);
     std::vector<std::unique_ptr<leaky::sys::TraceCore>> cores;
-    std::int32_t source = 0;
     for (const auto &app : mixes[0].apps) {
         leaky::sys::CoreConfig core_cfg;
         core_cfg.inst_budget = ~std::uint64_t{0} >> 1;
         core_cfg.mshrs = app.mlp;
         cores.push_back(std::make_unique<leaky::sys::TraceCore>(
             system, core_cfg,
-            leaky::workload::generateTrace(app, system.mapper(), 40'000),
-            source++));
+            leaky::workload::generateTrace(app, system.mapper(), 40'000)));
         cores.back()->start();
     }
     system.run(2 * leaky::sim::kMs);
@@ -283,6 +282,39 @@ TEST(SystemAllocation, LatencyProbeSteadyStateDoesNotAllocate)
     EXPECT_EQ(probe.samples().size(), probe_cfg.iterations);
     EXPECT_GT(system.stats(0).reads_served, reads_before + 1000);
     EXPECT_GT(system.stats(0).backoffs, 0u);
+    EXPECT_EQ(system.eventQueue().kernelStats().one_shot_spills, 0u);
+}
+
+TEST(SystemAllocation, CovertPairSteadyStateDoesNotAllocate)
+{
+    // The capacity figure's agents: a PRAC sender and receiver over a
+    // multi-window transmission that mixes back-off windows (logic-1)
+    // with idle ones (logic-0), so the measured stretch covers window
+    // turnovers, early sleeps and stale in-flight loads.
+    System system(leaky::core::pracAttackSystem());
+    const auto cfg = leaky::attack::makeChannelConfig(
+        system, leaky::attack::ChannelKind::kPrac);
+    leaky::attack::CovertSender sender(system, cfg);
+    leaky::attack::CovertReceiver receiver(system, cfg);
+    std::vector<std::uint8_t> symbols(40);
+    for (std::size_t i = 0; i < symbols.size(); ++i)
+        symbols[i] = i % 3 != 0 ? 1 : 0;
+    const Tick epoch = system.now() + 2 * leaky::sim::kUs;
+    sender.transmit(symbols, epoch);
+    bool done = false;
+    receiver.listen(symbols.size(), epoch, [&done] { done = true; });
+    system.run(epoch - system.now() + 4 * cfg.window);
+    ASSERT_FALSE(done);
+    const auto backoffs_before = system.stats(0).backoffs;
+
+    const std::uint64_t before = leaky_test_heap_allocs.load();
+    while (!done)
+        system.run(cfg.window);
+    const std::uint64_t after = leaky_test_heap_allocs.load();
+
+    EXPECT_EQ(after, before);
+    EXPECT_EQ(receiver.decoded(), symbols);
+    EXPECT_GT(system.stats(0).backoffs, backoffs_before + 20);
     EXPECT_EQ(system.eventQueue().kernelStats().one_shot_spills, 0u);
 }
 
