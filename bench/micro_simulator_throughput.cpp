@@ -245,7 +245,8 @@ BM_CovertWindow(benchmark::State &state)
 {
     for (auto _ : state) {
         state.PauseTiming();
-        sys::SystemConfig sys_cfg = core::pracAttackSystem();
+        sys::SystemConfig sys_cfg =
+            core::attackSystem(defense::DefenseKind::kPrac);
         sys::System system(sys_cfg);
         auto cfg = attack::makeChannelConfig(
             system, attack::ChannelKind::kPrac);

@@ -14,6 +14,8 @@ namespace {
  *  latency of the steady-state reads is the statistic, which filters
  *  refresh/RFM/back-off inflation from any defense). */
 constexpr std::uint32_t kSamplesPerPair = 4;
+/** Random difference probes per collection round. */
+constexpr std::uint32_t kPairsPerRound = 192;
 /** Constructed full-range probes per validation pass. */
 constexpr std::uint32_t kValidationPairs = 12;
 /** Difference-window schedule in line bits (0 = all line bits). Each
@@ -193,7 +195,7 @@ MappingRecovery::startCollectRound()
 void
 MappingRecovery::collectNext()
 {
-    if (round_pairs_ >= cfg_.pairs_per_round) {
+    if (round_pairs_ >= kPairsPerRound) {
         finishCollectRound();
         return;
     }

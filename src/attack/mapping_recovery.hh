@@ -36,8 +36,6 @@ namespace leaky::attack {
 /** Knobs of the online recovery loop. */
 struct MappingRecoveryConfig {
     LatencyClassifier classifier;
-    /** Random difference probes per collection round. */
-    std::uint32_t pairs_per_round = 48;
     std::uint64_t seed = 1;
 };
 

@@ -16,35 +16,21 @@ using attack::ChannelKind;
 using defense::DefenseKind;
 
 sys::SystemConfig
-pracAttackSystem()
+attackSystem(DefenseKind kind)
 {
-    sys::SystemConfig cfg = sys::SystemConfig::paper(DefenseKind::kPrac);
-    cfg.defense.nbo_override = 128; // Paper §6.1 assumption.
-    cfg.defense.rfms_per_backoff = 4;
-    return cfg;
-}
-
-sys::SystemConfig
-prfmAttackSystem()
-{
-    sys::SystemConfig cfg = sys::SystemConfig::paper(DefenseKind::kPrfm);
-    cfg.defense.trfm_override = 40; // Paper §7.1 assumption.
-    return cfg;
-}
-
-sys::SystemConfig
-crossDefenseSystemConfig(DefenseKind kind)
-{
-    if (channelKindFor(kind) == ChannelKind::kPrac) {
-        sys::SystemConfig sys_cfg = pracAttackSystem();
-        sys_cfg.defense.kind = kind;
-        return sys_cfg;
-    }
-    if (kind == DefenseKind::kPrfm)
-        return prfmAttackSystem();
     // NRH = 160 matches the PRAC attack studies' threat level; for the
     // trackers the policy derives a targeted-refresh threshold of 80.
-    return sys::SystemConfig::paper(kind, 160);
+    if (channelKindFor(kind) == ChannelKind::kRfm &&
+        kind != DefenseKind::kPrfm)
+        return sys::SystemConfig::paper(kind, 160);
+    sys::SystemConfig cfg = sys::SystemConfig::paper(kind);
+    if (kind == DefenseKind::kPrfm) {
+        cfg.defense.trfm_override = 40; // Paper §7.1 assumption.
+    } else {
+        cfg.defense.nbo_override = 128; // Paper §6.1 assumption.
+        cfg.defense.rfms_per_backoff = 4;
+    }
+    return cfg;
 }
 
 ChannelKind
@@ -128,7 +114,7 @@ constexpr std::uint64_t kRunForever = ~std::uint64_t{0} >> 1;
 LatencyTraceResult
 runLatencyTrace(std::uint32_t iterations, std::uint32_t rfms_per_backoff)
 {
-    sys::SystemConfig cfg = pracAttackSystem();
+    sys::SystemConfig cfg = attackSystem(DefenseKind::kPrac);
     cfg.defense.rfms_per_backoff = rfms_per_backoff;
     sys::System system(cfg);
 
@@ -189,9 +175,9 @@ runLatencyTrace(std::uint32_t iterations, std::uint32_t rfms_per_backoff)
 sys::SystemConfig
 channelSystemConfig(const ChannelRunSpec &spec)
 {
-    sys::SystemConfig cfg = spec.kind == ChannelKind::kPrac
-                                ? pracAttackSystem()
-                                : prfmAttackSystem();
+    sys::SystemConfig cfg = attackSystem(
+        spec.kind == ChannelKind::kPrac ? DefenseKind::kPrac
+                                        : DefenseKind::kPrfm);
     if (spec.defense)
         cfg.defense = *spec.defense;
     cfg.defense.seed = spec.seed;
@@ -384,16 +370,6 @@ collectOneFingerprint(const FingerprintSpec &spec, std::uint32_t site,
     sys::TraceCore browser(system, core_cfg, std::move(trace));
     browser.start();
 
-    std::vector<std::unique_ptr<sys::TraceCore>> background;
-    if (spec.background_noise) {
-        const std::vector<workload::AppSpec> apps = {
-            workload::appsWithIntensity(workload::Intensity::kMedium)
-                [site % 3]};
-        background = startCores(system, apps,
-                                appTraces(apps, system.mapper()),
-                                kRunForever, spec.large_caches);
-    }
-
     // The attacker's probe, placed away from the browser's rows;
     // back-offs are channel-wide so colocation within the victim's
     // CHANNEL suffices (§8) — the channel is explicit here because a
@@ -423,39 +399,12 @@ collectOneFingerprint(const FingerprintSpec &spec, std::uint32_t site,
     return sample;
 }
 
-std::vector<FingerprintSample>
-collectFingerprints(const FingerprintSpec &spec)
-{
-    std::vector<FingerprintSample> samples;
-    samples.reserve(static_cast<std::size_t>(spec.sites) *
-                    spec.loads_per_site);
-    for (std::uint32_t site = 0; site < spec.sites; ++site) {
-        for (std::uint32_t load = 0; load < spec.loads_per_site; ++load)
-            samples.push_back(collectOneFingerprint(spec, site, load));
-    }
-    return samples;
-}
-
-ml::Dataset
-fingerprintDataset(const std::vector<FingerprintSample> &raw,
-                   std::uint32_t windows)
-{
-    ml::Dataset data;
-    for (const auto &sample : raw) {
-        auto features = attack::extractFeatures(
-            sample.backoff_times, sample.duration, windows);
-        data.add(std::move(features.values),
-                 static_cast<int>(sample.site));
-    }
-    return data;
-}
-
 // ------------------------------------------------------------- §9.1
 
 CounterLeakTrial
 runCounterLeakTrial(std::uint32_t secret)
 {
-    sys::SystemConfig cfg = pracAttackSystem();
+    sys::SystemConfig cfg = attackSystem(DefenseKind::kPrac);
     sys::System system(cfg);
 
     attack::CounterLeakConfig leak_cfg;
@@ -490,42 +439,6 @@ runCounterLeakTrial(std::uint32_t secret)
     trial.elapsed_us = static_cast<double>(result.elapsed) / 1e6;
     trial.bits = result.bits;
     return trial;
-}
-
-// -------------------------------------------- multi-channel scaling
-
-MultiChannelResult
-runMultiChannelAggregate(const MultiChannelSpec &spec)
-{
-    LEAKY_ASSERT(spec.channels >= 1, "need at least one channel");
-    ChannelRunSpec base;
-    base.kind = ChannelKind::kPrac;
-    base.channels = spec.channels;
-    base.seed = spec.seed;
-    sys::System system(channelSystemConfig(base));
-
-    // One independent sender/receiver pair per channel, transmitting
-    // the same payload concurrently. Per-channel defense instances
-    // mean the pairs never contend for counter state — only the event
-    // queue is shared.
-    std::vector<attack::CovertConfig> cfgs;
-    for (std::uint32_t ch = 0; ch < spec.channels; ++ch)
-        cfgs.push_back(attack::makeChannelConfig(
-            system, ChannelKind::kPrac, 2, ch));
-    const auto bits =
-        attack::patternBits(spec.pattern, spec.message_bytes * 8);
-
-    MultiChannelResult out;
-    out.per_channel = attack::runCovertChannel(
-        system, cfgs, attack::symbolsFromBits(bits, 2));
-    for (const attack::ChannelResult &r : out.per_channel) {
-        out.aggregate_raw_bit_rate += r.raw_bit_rate;
-        out.aggregate_capacity += r.capacity;
-        out.mean_symbol_error +=
-            r.symbol_error / static_cast<double>(spec.channels);
-    }
-    out.aggregate_actions = system.aggregateStats().preventiveActions();
-    return out;
 }
 
 // ------------------------ online mapping recovery (DARE-style, §5.2)
@@ -590,7 +503,6 @@ runMappingRecoveryCell(const dram::MappingSpec &mapping,
     attack::MappingRecoveryConfig cfg;
     cfg.classifier = attack::LatencyClassifier::forTiming(
         sys_cfg.ctrl.dram.timing);
-    cfg.pairs_per_round = 192;
     cfg.seed = seed;
     attack::MappingRecovery attacker(system, cfg);
 

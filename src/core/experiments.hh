@@ -1,11 +1,16 @@
 /**
  * @file
  * High-level experiment runners shared by the figure registry and the
- * demos. Every covert-channel cell -- the headline channels, the
- * countermeasures, the trigger classes, the colocation and topology
- * variants -- is one ChannelRunSpec run through runChannel; the other
- * runners (latency trace, fingerprinting, counter leak, mapping
- * recovery, performance) each build a fresh System (paper Table 1
+ * demos, one entry point per experiment. attackSystem is the one
+ * operating-point rule. Every covert-channel cell -- the headline
+ * channels, the countermeasures, the trigger classes, the colocation
+ * and topology variants -- is one ChannelRunSpec run through
+ * runChannel; a multi-pair cell gives each pair a channelConfig and
+ * transmits them together through attack::runCovertChannel.
+ * Fingerprint collection is one collectOneFingerprint call per (site,
+ * load) sweep job; the runner merges the rows into the ML dataset.
+ * The other runners (latency trace, counter leak, mapping recovery,
+ * performance) each build a fresh System (paper Table 1
  * configuration), attach their agents/cores, run the event queue, and
  * return the numbers the corresponding figure/table plots.
  *
@@ -27,7 +32,6 @@
 #include "attack/mapping_recovery.hh"
 #include "attack/message.hh"
 #include "attack/probe.hh"
-#include "ml/dataset.hh"
 #include "sys/system.hh"
 #include "workload/synthetic.hh"
 
@@ -35,18 +39,12 @@ namespace leaky::core {
 
 using sim::Tick;
 
-/** Paper Table 1 system with PRAC at the attack-study operating point
- *  (NBO = 128, 4 RFMs per back-off). */
-sys::SystemConfig pracAttackSystem();
-
-/** Paper §7 system: PRFM with TRFM = 40. */
-sys::SystemConfig prfmAttackSystem();
-
-/** The attack operating point of defense @p kind: PRAC family at
- *  NBO = 128 (pracAttackSystem), PRFM at TRFM = 40 (prfmAttackSystem),
- *  everything else (FR-RFM, PARA, the Graphene / Hydra trackers) at the
- *  paper defaults for NRH = 160, the PRAC studies' threat level. */
-sys::SystemConfig crossDefenseSystemConfig(defense::DefenseKind kind);
+/** The attack operating point of defense @p kind: the PRAC family at
+ *  NBO = 128 with 4 RFMs per back-off (§6.1), PRFM at TRFM = 40
+ *  (§7.1), everything else (FR-RFM, PARA, the Graphene / Hydra
+ *  trackers) at the paper defaults for NRH = 160, the PRAC studies'
+ *  threat level. Paper Table 1 system otherwise. */
+sys::SystemConfig attackSystem(defense::DefenseKind kind);
 
 /** The covert channel that exploits @p kind's observable: back-off
  *  detection for the PRAC family, slow-event counting for the rest
@@ -83,7 +81,7 @@ struct ChannelRunSpec {
     attack::ChannelKind kind = attack::ChannelKind::kPrac;
     std::uint32_t levels = 2;
     /** The defense under attack; unset = `kind`'s own operating point
-     *  (pracAttackSystem / prfmAttackSystem). `seed` always overwrites
+     *  (attackSystem of PRAC or PRFM). `seed` always overwrites
      *  its seed. Graphene / Hydra switch the receiver to the tracker
      *  calibration (see channelConfig). */
     std::optional<defense::DefenseSpec> defense;
@@ -188,23 +186,14 @@ struct FingerprintSpec {
     std::uint32_t loads_per_site = 50;
     std::uint32_t nrh = 64;
     Tick duration = 4 * sim::kMs;
-    bool large_caches = false;    ///< §10.3 variant.
-    bool background_noise = false; ///< Concurrent SPEC-like app (§8).
+    bool large_caches = false; ///< §10.3 variant.
     std::uint64_t seed = 2025;
 };
-
-/** Collect fingerprints by simulating browser + probe per load. */
-std::vector<FingerprintSample>
-collectFingerprints(const FingerprintSpec &spec);
 
 /** Collect a single (site, load) fingerprint. */
 FingerprintSample collectOneFingerprint(const FingerprintSpec &spec,
                                         std::uint32_t site,
                                         std::uint32_t load);
-
-/** Turn fingerprints into the ML dataset (extractFeatures per sample). */
-ml::Dataset fingerprintDataset(const std::vector<FingerprintSample> &raw,
-                               std::uint32_t windows = 32);
 
 // ------------------------------------------------------------- §9.1
 
@@ -218,27 +207,6 @@ struct CounterLeakTrial {
 
 /** Prime the shared row's counter with @p secret and leak it back. */
 CounterLeakTrial runCounterLeakTrial(std::uint32_t secret);
-
-// -------------------------------------------- multi-channel scaling
-
-/** One aggregate-scaling cell: an independent sender/receiver pair on
- *  EVERY channel, transmitting concurrently in one system. */
-struct MultiChannelSpec {
-    std::uint32_t channels = 1;
-    attack::MessagePattern pattern = attack::MessagePattern::kCheckered0;
-    std::size_t message_bytes = 4;
-    std::uint64_t seed = 1;
-};
-
-struct MultiChannelResult {
-    std::vector<attack::ChannelResult> per_channel;
-    double aggregate_raw_bit_rate = 0.0; ///< Sum over channels.
-    double aggregate_capacity = 0.0;     ///< Sum over channels.
-    double mean_symbol_error = 0.0;
-    std::uint64_t aggregate_actions = 0; ///< aggregateStats() view.
-};
-
-MultiChannelResult runMultiChannelAggregate(const MultiChannelSpec &spec);
 
 // ------------------------ online mapping recovery (DARE-style, §5.2)
 

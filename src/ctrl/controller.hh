@@ -112,9 +112,6 @@ class MemoryController final : public dram::AlertSink
     const CtrlStats &stats() const { return stats_; }
     std::uint32_t channelId() const { return channel_id_; }
 
-    std::size_t readQueueSize() const { return read_q_.size(); }
-    std::size_t writeQueueSize() const { return write_q_.size(); }
-
     // dram::AlertSink
     void raiseAlert(const dram::AlertInfo &info) override;
 

@@ -76,15 +76,6 @@ PracDefense::maxCounter() const
     return best;
 }
 
-std::size_t
-PracDefense::trackedRows() const
-{
-    std::size_t n = 0;
-    for (const auto &bank : banks_)
-        n += bank.rows.size();
-    return n;
-}
-
 void
 PracDefense::onActivate(const Address &, Tick)
 {

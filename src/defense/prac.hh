@@ -74,9 +74,6 @@ class PracDefense final : public dram::DeviceHooks
     /** Highest live counter value (diagnostics / tests). */
     std::uint32_t maxCounter() const;
 
-    /** Number of rows with live counters (diagnostics / tests). */
-    std::size_t trackedRows() const;
-
     const PracConfig &config() const { return cfg_; }
 
   private:

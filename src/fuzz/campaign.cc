@@ -66,7 +66,7 @@ EvalResult evaluatePattern(const HammerPattern &p, const EvalSpec &spec)
 
     core::ChannelRunSpec run;
     run.kind = core::channelKindFor(spec.defense);
-    run.defense = core::crossDefenseSystemConfig(spec.defense).defense;
+    run.defense = core::attackSystem(spec.defense).defense;
     run.message_bytes = spec.message_bytes;
     run.seed = spec.seed;
     sys::System system(core::channelSystemConfig(run));

@@ -11,7 +11,7 @@
  * bit-identical for any thread count.
  *
  * The evaluation cell is the cross-defense figure's noise-free
- * core::ChannelRunSpec (crossDefenseSystemConfig's defense, the
+ * core::ChannelRunSpec (attackSystem's defense, the
  * channelKindFor receiver), built through the same channelSystemConfig
  * and channelConfig; only the sender differs: it replays the pattern's
  * expanded access sequence (CovertConfig::sender_sequence) instead of

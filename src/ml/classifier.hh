@@ -28,17 +28,6 @@ class Classifier
 
     /** Human-readable model name (paper Fig. 10 labels). */
     virtual std::string name() const = 0;
-
-    /** Predict a batch. */
-    std::vector<int>
-    predictAll(const Dataset &data) const
-    {
-        std::vector<int> out;
-        out.reserve(data.size());
-        for (const auto &row : data.x)
-            out.push_back(predict(row));
-        return out;
-    }
 };
 
 /** The paper's Fig. 10 model zoo, in plot order. */

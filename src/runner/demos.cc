@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/leakyhammer.hh"
+#include "runner/figures_internal.hh"
 #include "runner/flags.hh"
 
 namespace leaky::runner {
@@ -136,26 +137,20 @@ runFingerprint(int argc, char **argv, std::string *error)
 
     std::printf("collecting %u sites x %u loads (NRH = %u)...\n",
                 spec.sites, spec.loads_per_site, spec.nrh);
-    const auto raw = core::collectFingerprints(spec);
+    const SweepResult result = runSweep(collectionSpec(spec));
 
-    // Show one strip per site.
-    for (std::uint32_t site = 0; site < spec.sites; ++site) {
-        for (const auto &sample : raw) {
-            if (sample.site != site || sample.load != 0)
-                continue;
-            const auto features = attack::extractFeatures(
-                sample.backoff_times, sample.duration, 24);
-            std::vector<double> strip(features.values.begin(),
-                                      features.values.begin() + 24);
-            std::printf("%-12s [%s] %3zu back-offs\n",
-                        workload::websiteNames()[site].c_str(),
-                        core::sparkline(strip).c_str(),
-                        sample.backoff_times.size());
-        }
+    // Show each site's first load.
+    for (const auto &row : result.rows) {
+        if (row[1] != 0)
+            continue;
+        std::printf("%-12s [%s] %3.0f back-offs\n",
+                    workload::websiteNames()[
+                        static_cast<std::size_t>(row[0])].c_str(),
+                    backoffStrip(row).c_str(), row[2]);
     }
 
     // Train on most loads, classify the held-out ones.
-    const auto data = core::fingerprintDataset(raw);
+    const auto data = datasetFromRows(result);
     const auto split = ml::stratifiedSplit(data, 0.25, 99);
     ml::RandomForest model;
     model.fit(split.train);
@@ -167,21 +162,6 @@ runFingerprint(int argc, char **argv, std::string *error)
     std::printf("macro F1 %.2f, precision %.2f, recall %.2f\n",
                 cm.macroF1(), cm.macroPrecision(), cm.macroRecall());
     return true;
-}
-
-double
-channelCapacityAgainst(defense::DefenseKind kind, std::uint32_t nrh)
-{
-    core::ChannelRunSpec run;
-    run.defense = core::pracAttackSystem().defense;
-    run.defense->kind = kind;
-    if (kind == defense::DefenseKind::kFrRfm ||
-        kind == defense::DefenseKind::kPrfm) {
-        run.defense->nrh = nrh;
-        run.defense->nbo_override = 0;
-    }
-    run.message_bytes = 20;
-    return core::runChannel(run).capacity;
 }
 
 bool
@@ -209,7 +189,13 @@ runMitigation(int argc, char **argv, std::string *error)
          {defense::DefenseKind::kPrac, defense::DefenseKind::kPrfm,
           defense::DefenseKind::kPracRiac, defense::DefenseKind::kFrRfm,
           defense::DefenseKind::kPracBank}) {
-        const double capacity = channelCapacityAgainst(kind, nrh);
+        // The `threshold` figure's cell: the receiver listens for the
+        // defense's own preventive action.
+        core::ChannelRunSpec run;
+        run.kind = core::channelKindFor(kind);
+        run.defense = sys::SystemConfig::paper(kind, nrh).defense;
+        run.message_bytes = 20;
+        const double capacity = core::runChannel(run).capacity;
         double ws = 0.0;
         for (std::size_t m = 0; m < mixes.size(); ++m)
             ws += core::normalizedWs(kind, nrh, mixes[m], baselines[m],
@@ -217,11 +203,8 @@ runMitigation(int argc, char **argv, std::string *error)
         ws /= static_cast<double>(mixes.size());
         table.addRow({defense::defenseName(kind),
                       core::fmtKbps(capacity), core::fmt(ws, 3)});
-        std::printf("%-10s capacity %-12s normalized WS %.3f\n",
-                    defense::defenseName(kind),
-                    core::fmtKbps(capacity).c_str(), ws);
     }
-    std::printf("\n%s", table.str().c_str());
+    std::printf("%s", table.str().c_str());
     std::printf("\nFR-RFM closes the channel completely; at low NRH its "
                 "performance cost explodes, which is the paper's central "
                 "trade-off (§11, Fig. 13).\n");

@@ -202,7 +202,7 @@ countermeasuresFigure()
             // The PRAC channel against each protected system.
             core::ChannelRunSpec run;
             run.defense =
-                core::crossDefenseSystemConfig(scenario.kind).defense;
+                core::attackSystem(scenario.kind).defense;
             if (scenario.cross_bank) {
                 // Receiver outside the sender's bank group and bank
                 // (Bank-Level PRAC's scope reduction).
@@ -410,13 +410,13 @@ triggerFigure()
                                 : DefenseKind::kPara;
             const double p = scenario >= 2 ? kParaP[scenario - 2] : 0.0;
             // Every trigger at the PRAC study's operating point; PRFM
-            // keeps its derived TRFM here, unlike prfmAttackSystem.
+            // keeps its derived TRFM here, unlike attackSystem(kPrfm).
             // PRAC's big back-offs use the back-off detector; PRFM/PARA
             // preventive actions are smaller, so the receiver counts
             // slow events per (25 us) window against Trecv.
             core::ChannelRunSpec run;
             run.kind = core::channelKindFor(kind);
-            run.defense = core::pracAttackSystem().defense;
+            run.defense = core::attackSystem(DefenseKind::kPrac).defense;
             run.defense->kind = kind;
             run.defense->para_probability = p;
             run.window = 25 * sim::kUs;

@@ -458,7 +458,8 @@ rfmCountFigure()
         spec.job = [bytes](const Job &job) -> JobRows {
             core::ChannelRunSpec run;
             run.kind = ChannelKind::kPrac;
-            run.defense = core::pracAttackSystem().defense;
+            run.defense =
+                core::attackSystem(defense::DefenseKind::kPrac).defense;
             run.defense->rfms_per_backoff = static_cast<std::uint32_t>(
                 job.param("rfms_per_backoff"));
             run.filter_refresh = run.defense->rfms_per_backoff < 4;
@@ -512,7 +513,8 @@ actionLatencyFigure()
                 static_cast<std::uint64_t>(job.param("latency_ns"));
             core::ChannelRunSpec run;
             run.kind = ChannelKind::kPrac;
-            run.defense = core::pracAttackSystem().defense;
+            run.defense =
+                core::attackSystem(defense::DefenseKind::kPrac).defense;
             run.defense->rfms_per_backoff = 1;
             run.defense->backoff_rfm_latency = ns ? ns * 1000 : 1;
             // Model the preventive action as immediately following

@@ -30,27 +30,18 @@ using attack::ChannelKind;
 
 constexpr std::uint32_t kFingerprintWindows = 32;
 
-/** Shared shape of the collection sweeps: one job per (site, load),
- *  one row of {site, load, backoffs, features...} each. */
+} // namespace
+
 SweepSpec
-collectionSpec(std::uint32_t sites, std::uint32_t loads,
-               sim::Tick duration, std::uint64_t base_seed)
+collectionSpec(const core::FingerprintSpec &fp)
 {
     SweepSpec spec;
-    spec.axes = {{"site", iota(sites)}, {"load", iota(loads)}};
+    spec.axes = {{"site", iota(fp.sites)},
+                 {"load", iota(fp.loads_per_site)}};
     spec.columns = {"site", "load", "backoffs"};
     for (std::uint32_t f = 0; f < kFingerprintWindows + 7; ++f)
         spec.columns.push_back("f" + std::to_string(f));
-    spec.job = [sites, loads, duration,
-                base_seed](const Job &job) -> JobRows {
-        core::FingerprintSpec fp;
-        fp.sites = sites;
-        fp.loads_per_site = loads;
-        fp.duration = duration;
-        // The website trace is a function of (site, load, seed): keep
-        // the base seed so loads are the paper's repeated page
-        // visits, not fresh sites.
-        fp.seed = base_seed;
+    spec.job = [fp](const Job &job) -> JobRows {
         const auto sample = core::collectOneFingerprint(
             fp, static_cast<std::uint32_t>(job.param("site")),
             static_cast<std::uint32_t>(job.param("load")));
@@ -67,7 +58,6 @@ collectionSpec(std::uint32_t sites, std::uint32_t loads,
     return spec;
 }
 
-/** Rebuild the ML dataset from merged collection rows. */
 ml::Dataset
 datasetFromRows(const SweepResult &result)
 {
@@ -76,6 +66,32 @@ datasetFromRows(const SweepResult &result)
         data.add(std::vector<double>(row.begin() + 3, row.end()),
                  static_cast<int>(row[0]));
     return data;
+}
+
+std::string
+backoffStrip(const std::vector<double> &row)
+{
+    // The first 24 windowed features are the strip cells.
+    return core::sparkline(
+        std::vector<double>(row.begin() + 3, row.begin() + 3 + 24));
+}
+
+namespace {
+
+/** The collection of @p sites x @p loads at @p duration. Every load
+ *  keeps the base @p seed: the website trace is a function of (site,
+ *  load, seed), so loads are the paper's repeated page visits, not
+ *  fresh sites. */
+core::FingerprintSpec
+visits(std::uint32_t sites, std::uint32_t loads, sim::Tick duration,
+       std::uint64_t seed)
+{
+    core::FingerprintSpec fp;
+    fp.sites = sites;
+    fp.loads_per_site = loads;
+    fp.duration = duration;
+    fp.seed = seed;
+    return fp;
 }
 
 // ---------------------------------------------------- Figs. 9 and 10
@@ -94,7 +110,7 @@ fingerprintFigure()
             loads = 50;
             duration = 4 * sim::kMs;
         }
-        return collectionSpec(sites, loads, duration, seed);
+        return collectionSpec(visits(sites, loads, duration, seed));
     };
     auto summarize = [](const SweepResult &result) {
         // Rebuild the dataset from the merged rows and train the
@@ -125,9 +141,9 @@ stripsFigure()
 {
     auto sweep = [](Scale scale, std::uint64_t seed) {
         // Site indices of wikipedia (34), reddit (24), youtube (38).
-        SweepSpec spec = collectionSpec(
+        SweepSpec spec = collectionSpec(visits(
             40, 2, scale == Scale::kFull ? 4 * sim::kMs : 2 * sim::kMs,
-            seed);
+            seed));
         spec.axes[0].values = scale == Scale::kSmoke
                                   ? std::vector<double>{34, 24}
                                   : std::vector<double>{34, 24, 38};
@@ -136,13 +152,10 @@ stripsFigure()
     auto summarize = [](const SweepResult &result) {
         std::string out;
         for (const auto &row : result.rows) {
-            // The first 24 windowed features are the strip cells.
-            std::vector<double> strip(row.begin() + 3,
-                                      row.begin() + 3 + 24);
             const auto &name = workload::websiteNames()[
                 static_cast<std::size_t>(row[0])];
             out += name + " load " + core::fmt(row[1], 0) + "  [" +
-                   core::sparkline(strip) + "]  (" +
+                   backoffStrip(row) + "]  (" +
                    core::fmt(row[2], 0) + " back-offs)\n";
         }
         return out +
@@ -174,7 +187,7 @@ classifiersFigure()
             loads = 50;
             duration = 4 * sim::kMs;
         }
-        return collectionSpec(sites, loads, duration, seed);
+        return collectionSpec(visits(sites, loads, duration, seed));
     };
     // Both studies train on one collection: the eight models on a
     // stratified split (Fig. 10), then the decision tree under k-fold
@@ -268,16 +281,14 @@ cachePrefetchFigure()
                          job.param("large_caches"),
                          sweep.error_probability, sweep.capacity}};
             }
-            core::FingerprintSpec fp;
-            fp.sites = fp_sites;
-            fp.loads_per_site = fp_loads;
-            fp.duration = fp_duration;
+            // The base seed keeps the base/large datasets paired.
+            core::FingerprintSpec fp =
+                visits(fp_sites, fp_loads, fp_duration, seed);
             fp.large_caches = large;
-            // Website traces are a function of (site, load, seed):
-            // the base seed keeps the base/large datasets paired.
-            fp.seed = seed;
-            const auto data = core::fingerprintDataset(
-                core::collectFingerprints(fp));
+            // The whole collection runs inside this job; a one-thread
+            // sweep spawns no workers.
+            const auto data =
+                datasetFromRows(runSweep(collectionSpec(fp), 1));
             const auto split = ml::stratifiedSplit(data, 0.25, 77);
             ml::DecisionTree dt;
             dt.fit(split.train);

@@ -17,7 +17,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/experiments.hh"
 #include "fuzz/campaign.hh"
+#include "ml/dataset.hh"
 #include "runner/figures.hh"
 
 namespace leaky::runner {
@@ -90,6 +92,19 @@ std::vector<Figure> countermeasureFigures(); ///< Fig. 13, §9/11/12, T3.
 std::vector<Figure> trackerFigures();        ///< §13 generalisation.
 std::vector<Figure> scalingFigures();        ///< §5.2 topology/mapping.
 std::vector<Figure> fuzzFigures();           ///< Pattern fuzzer (src/fuzz).
+
+/**
+ * The website-fingerprint collection of @p fp (§8): one job per (site,
+ * load), expanded site-major, each running core::collectOneFingerprint
+ * and returning one {site, load, backoffs, 39 features...} row.
+ */
+SweepSpec collectionSpec(const core::FingerprintSpec &fp);
+
+/** The ML dataset of merged collection rows: features by site. */
+ml::Dataset datasetFromRows(const SweepResult &result);
+
+/** A collection row's back-off strip (Fig. 9): its first 24 windows. */
+std::string backoffStrip(const std::vector<double> &row);
 
 /**
  * The fuzz-search sweep, shared between the fuzz-search figure and

@@ -153,23 +153,41 @@ channelScalingFigure()
                         "aggregate_capacity",     "min_channel_capacity",
                         "aggregate_actions"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            core::MultiChannelSpec cell;
-            cell.channels =
+            core::ChannelRunSpec run;
+            run.channels =
                 static_cast<std::uint32_t>(job.param("channels"));
-            cell.pattern = asEnum<MessagePattern>(job.param("pattern"));
-            cell.message_bytes = bytes;
-            cell.seed = job.seed;
-            const auto result = core::runMultiChannelAggregate(cell);
-            double min_capacity = result.per_channel.empty()
-                                      ? 0.0
-                                      : result.per_channel[0].capacity;
-            for (const auto &ch : result.per_channel)
-                min_capacity = std::min(min_capacity, ch.capacity);
+            run.pattern = asEnum<MessagePattern>(job.param("pattern"));
+            run.message_bytes = bytes;
+            run.seed = job.seed;
+            sys::System system(core::channelSystemConfig(run));
+
+            // One independent sender/receiver pair per channel,
+            // transmitting the same payload concurrently. Per-channel
+            // defense instances mean the pairs never contend for
+            // counter state — only the event queue is shared.
+            std::vector<attack::CovertConfig> cfgs;
+            for (std::uint32_t ch = 0; ch < run.channels; ++ch) {
+                run.sender_channel = run.receiver_channel = ch;
+                cfgs.push_back(core::channelConfig(system, run));
+            }
+            const auto bits = attack::patternBits(
+                run.pattern, run.message_bytes * 8);
+            const auto per_channel = attack::runCovertChannel(
+                system, cfgs, attack::symbolsFromBits(bits, 2));
+
+            double raw_bit_rate = 0.0, error = 0.0, capacity = 0.0;
+            double min_capacity = per_channel[0].capacity;
+            for (const attack::ChannelResult &r : per_channel) {
+                raw_bit_rate += r.raw_bit_rate;
+                capacity += r.capacity;
+                error += r.symbol_error /
+                         static_cast<double>(run.channels);
+                min_capacity = std::min(min_capacity, r.capacity);
+            }
             return {{job.param("channels"), job.param("pattern"),
-                     result.aggregate_raw_bit_rate,
-                     result.mean_symbol_error,
-                     result.aggregate_capacity, min_capacity,
-                     static_cast<double>(result.aggregate_actions)}};
+                     raw_bit_rate, error, capacity, min_capacity,
+                     static_cast<double>(system.aggregateStats()
+                                             .preventiveActions())}};
         };
         return spec;
     };

@@ -60,7 +60,7 @@ crossDefenseFigure()
             const auto kind = asEnum<DefenseKind>(job.param("defense"));
             core::ChannelRunSpec run;
             run.kind = core::channelKindFor(kind);
-            run.defense = core::crossDefenseSystemConfig(kind).defense;
+            run.defense = core::attackSystem(kind).defense;
             run.noise_sleep = stats::sleepForIntensity(
                 job.param("intensity"), 200'000, 2'000'000);
             run.message_bytes = bytes;
@@ -122,7 +122,7 @@ trackerThresholdFigure()
             const auto kind = asEnum<DefenseKind>(job.param("tracker"));
             core::ChannelRunSpec run;
             run.kind = core::channelKindFor(kind);
-            run.defense = core::crossDefenseSystemConfig(kind).defense;
+            run.defense = core::attackSystem(kind).defense;
             run.defense->tracker_threshold_override =
                 static_cast<std::uint32_t>(job.param("threshold"));
             run.message_bytes = bytes;

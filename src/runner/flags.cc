@@ -111,16 +111,11 @@ FlagParser::setValue(const Flag &flag, const std::string &text)
 bool
 FlagParser::parse(int argc, char **argv, std::string *error)
 {
-    positionals_.clear();
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) {
-            positionals_.push_back(arg);
-            if (positionals_.size() > max_positionals_) {
-                *error = "unexpected argument '" + arg + "'";
-                return false;
-            }
-            continue;
+            *error = "unexpected argument '" + arg + "'";
+            return false;
         }
 
         std::string name = arg.substr(2);

@@ -3,8 +3,9 @@
  * Tiny dependency-free command-line flag parser for the leakyhammer
  * CLI and the example binaries. Flags are `--name value` or
  * `--name=value`; bools take no value. Parsing is strict: an unknown
- * flag, a missing value, or a malformed number is an error — callers
- * must exit non-zero instead of silently falling back to defaults.
+ * flag, a bare argument, a missing value, or a malformed number is an
+ * error — callers must exit non-zero instead of silently falling back
+ * to defaults.
  */
 
 #ifndef LEAKY_RUNNER_FLAGS_HH
@@ -31,9 +32,6 @@ class FlagParser
     void addString(const std::string &name, std::string *target,
                    const std::string &help);
 
-    /** Cap on bare (non-flag) arguments; default none allowed. */
-    void allowPositionals(std::size_t max) { max_positionals_ = max; }
-
     /**
      * Parse argv[0..argc); on failure fills @p error and returns
      * false. Bound targets keep their pre-set values as defaults but
@@ -41,11 +39,6 @@ class FlagParser
      * value always fails.
      */
     bool parse(int argc, char **argv, std::string *error);
-
-    const std::vector<std::string> &positionals() const
-    {
-        return positionals_;
-    }
 
     /** One "  --name <type>  help" line per flag. */
     std::string helpText() const;
@@ -63,8 +56,6 @@ class FlagParser
     static bool setValue(const Flag &flag, const std::string &text);
 
     std::vector<Flag> flags_;
-    std::vector<std::string> positionals_;
-    std::size_t max_positionals_ = 0;
 };
 
 /** Strict numeric parses (whole string must convert; no fallback). */

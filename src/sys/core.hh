@@ -77,7 +77,6 @@ class TraceCore
     Tick finishTick() const { return finish_tick_; }
 
     /** Tick at which the core started executing. */
-    Tick startTick() const { return start_tick_; }
 
     /** IPC over the measurement budget (valid once budgetDone()). */
     double measuredIpc() const;

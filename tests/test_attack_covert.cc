@@ -52,7 +52,8 @@ TEST(CovertChannel, RfmTransmitsMicroErrorFree)
 
 TEST(CovertChannel, RawBitRatesMatchWindowSizes)
 {
-    sys::System prac_sys(core::pracAttackSystem());
+    sys::System prac_sys(
+        core::attackSystem(defense::DefenseKind::kPrac));
     const auto prac_cfg =
         attack::makeChannelConfig(prac_sys, ChannelKind::kPrac);
     const auto bits = attack::patternBits(
@@ -64,7 +65,8 @@ TEST(CovertChannel, RawBitRatesMatchWindowSizes)
 
 TEST(CovertChannel, SenderIdleMeansNoBackoffs)
 {
-    sys::System system(core::pracAttackSystem());
+    sys::System system(
+        core::attackSystem(defense::DefenseKind::kPrac));
     const auto cfg =
         attack::makeChannelConfig(system, ChannelKind::kPrac);
     const auto result = attack::runCovertChannel(
@@ -77,7 +79,8 @@ TEST(CovertChannel, SenderIdleMeansNoBackoffs)
 
 TEST(CovertChannel, AllOnesTriggersOneBackoffPerWindow)
 {
-    sys::System system(core::pracAttackSystem());
+    sys::System system(
+        core::attackSystem(defense::DefenseKind::kPrac));
     const auto cfg =
         attack::makeChannelConfig(system, ChannelKind::kPrac);
     const auto result = attack::runCovertChannel(
@@ -92,7 +95,8 @@ TEST(CovertChannel, CrossBankReceiverStillDecodesPrac)
 {
     // PRAC back-offs block the whole channel (§5.2): the receiver works
     // from any bank.
-    sys::System system(core::pracAttackSystem());
+    sys::System system(
+        core::attackSystem(defense::DefenseKind::kPrac));
     auto cfg = attack::makeChannelConfig(system, ChannelKind::kPrac);
     // The sender self-conflicts between two rows of its bank; the
     // receiver listens from a different rank/bank-group/bank. With the
@@ -150,7 +154,8 @@ INSTANTIATE_TEST_SUITE_P(Levels, MultibitChannel,
 
 TEST(NoiseAgent, GeneratesBankConflicts)
 {
-    sys::System system(core::pracAttackSystem());
+    sys::System system(
+        core::attackSystem(defense::DefenseKind::kPrac));
     attack::NoiseConfig cfg;
     cfg.addrs = attack::rowsInBank(system.mapper(), 0, 0, 0, 0, 3000, 4,
                                    128);

@@ -15,7 +15,8 @@ TEST(FingerprintProbe, DoesNotTriggerBackoffsOnItsOwn)
 {
     // Listing 2's whole point: T < NBO accesses per row visit keep the
     // probe's own counters below the threshold.
-    sys::System system(core::pracAttackSystem());
+    sys::System system(
+        core::attackSystem(defense::DefenseKind::kPrac));
     attack::FingerprintConfig cfg;
     cfg.rows = attack::rowsInBank(system.mapper(), 0, 1, 7, 3, 500, 8,
                                   64);
@@ -38,7 +39,8 @@ TEST(FingerprintProbe, ObservesVictimBackoffsChannelWide)
 {
     // A hammering "victim" in a different bank: the probe sees its
     // back-offs because PRAC blocks the whole channel.
-    sys::System system(core::pracAttackSystem());
+    sys::System system(
+        core::attackSystem(defense::DefenseKind::kPrac));
 
     std::uint64_t served = 0;
     std::function<void()> victim = [&] {
@@ -123,7 +125,8 @@ TEST(Fingerprints, SameSiteCloserThanDifferentSites)
 TEST(CounterLeak, RecoversSecretWithinTwoCounts)
 {
     for (std::uint32_t secret : {5u, 30u, 64u, 100u}) {
-        sys::SystemConfig cfg = core::pracAttackSystem();
+        sys::SystemConfig cfg =
+            core::attackSystem(defense::DefenseKind::kPrac);
         sys::System system(cfg);
         const auto shared =
             attack::rowAddress(system.mapper(), 0, 0, 0, 0, 1000);

@@ -43,7 +43,8 @@ TEST(LatencyClassifier, FewerRecoveryRfmsLowerTheBackoffBand)
 
 TEST(LatencyProbe, AlternatingRowsSeeConflictLatencies)
 {
-    sys::System system(core::pracAttackSystem());
+    sys::System system(
+        core::attackSystem(defense::DefenseKind::kPrac));
     attack::ProbeConfig cfg;
     cfg.addrs = {attack::rowAddress(system.mapper(), 0, 0, 0, 0, 100),
                  attack::rowAddress(system.mapper(), 0, 0, 0, 0, 200)};
@@ -67,7 +68,8 @@ TEST(LatencyProbe, AlternatingRowsSeeConflictLatencies)
 
 TEST(LatencyProbe, SingleRowSeesFastHits)
 {
-    sys::System system(core::pracAttackSystem());
+    sys::System system(
+        core::attackSystem(defense::DefenseKind::kPrac));
     attack::ProbeConfig cfg;
     cfg.addrs = {attack::rowAddress(system.mapper(), 0, 0, 0, 0, 100)};
     cfg.iterations = 64;

@@ -2,17 +2,20 @@
  * @file
  * CLI error-path contract: every subcommand exits 2 (usage error) on
  * unknown flags, malformed values, and missing required arguments —
- * never 0, never a crash — and `help run` documents every demo flag.
- * Drives runner::cliMain in-process; the happy paths are covered by
+ * never 0, never a crash — `help run` documents every demo flag, and
+ * every demo runs to completion on its default flags. Drives
+ * runner::cliMain in-process; the figures' happy paths are covered by
  * ci/smoke_figures.sh and the figure tests.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "runner/cli.hh"
+#include "runner/demos.hh"
 
 namespace {
 
@@ -63,6 +66,8 @@ TEST(CliErrors, MalformedValuesAreUsageErrors)
     EXPECT_EQ(runCli({"run", "fingerprint", "--sites", "1"}), 2);
     EXPECT_EQ(runCli({"run", "fingerprint", "--loads", "1"}), 2);
     EXPECT_EQ(runCli({"run", "mitigation", "--nrh", "8"}), 2);
+    EXPECT_EQ(runCli({"repro", "stray"}), 2);
+    EXPECT_EQ(runCli({"run", "quickstart", "stray"}), 2);
 }
 
 TEST(CliErrors, MissingRequiredArgumentsAreUsageErrors)
@@ -87,6 +92,28 @@ TEST(CliHelp, HelpRunNamesEveryDemoFlag)
     for (const char *flag :
          {"--message", "--mapping", "--sites", "--loads", "--nrh"})
         EXPECT_NE(help.find(flag), std::string::npos) << flag;
+}
+
+TEST(CliDemos, EveryDemoRunsWithDefaultFlags)
+{
+    for (const auto &demo : leaky::runner::demos()) {
+        testing::internal::CaptureStdout();
+        EXPECT_EQ(runCli({"run", demo.name}), 0) << demo.name;
+        const std::string out = testing::internal::GetCapturedStdout();
+        EXPECT_FALSE(out.empty()) << demo.name;
+        if (std::string(demo.name) != "mitigation")
+            continue;
+        // The RFM channel gets through PRFM at the default NRH = 256,
+        // as in the `threshold` figure's cell.
+        const auto row = out.find("\nPRFM ");
+        ASSERT_NE(row, std::string::npos) << out;
+        std::istringstream line(
+            out.substr(row + 1, out.find('\n', row + 1) - row - 1));
+        std::string name;
+        double kbps = 0.0;
+        line >> name >> kbps;
+        EXPECT_GT(kbps, 0.0) << line.str();
+    }
 }
 
 } // namespace

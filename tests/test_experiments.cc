@@ -4,6 +4,7 @@
 
 #include "core/experiments.hh"
 #include "core/report.hh"
+#include "runner/figures_internal.hh"
 
 namespace {
 
@@ -11,11 +12,12 @@ using namespace leaky;
 
 TEST(Experiments, PracAttackSystemUsesPaperOperatingPoint)
 {
-    const auto cfg = core::pracAttackSystem();
+    const auto cfg = core::attackSystem(defense::DefenseKind::kPrac);
     EXPECT_EQ(cfg.defense.kind, defense::DefenseKind::kPrac);
     EXPECT_EQ(cfg.defense.nbo_override, 128u);
     EXPECT_EQ(cfg.defense.rfms_per_backoff, 4u);
-    const auto prfm = core::prfmAttackSystem();
+    const auto prfm = core::attackSystem(defense::DefenseKind::kPrfm);
+    EXPECT_EQ(prfm.defense.kind, defense::DefenseKind::kPrfm);
     EXPECT_EQ(prfm.defense.trfm_override, 40u);
 }
 
@@ -44,30 +46,33 @@ TEST(Experiments, ChannelRunProducesMetrics)
 
 TEST(Experiments, OnePairAggregateMatchesRunChannel)
 {
-    // Both entry points default to the PRAC channel at NBO = 128 on
-    // channel 0, so one pair must transmit exactly as runChannel does:
-    // they share one transmission path.
-    core::MultiChannelSpec cell;
-    cell.channels = 1;
-    cell.pattern = attack::MessagePattern::kCheckered1;
-    cell.message_bytes = 6;
-    cell.seed = 7;
-    const auto aggregate = core::runMultiChannelAggregate(cell);
-    ASSERT_EQ(aggregate.per_channel.size(), 1u);
+    // The channel-scaling job's one-channel cell is runChannel's
+    // default PRAC cell (NBO = 128, channel 0): both transmit through
+    // the same channelConfig and runCovertChannel path.
+    runner::RunOptions opts;
+    opts.smoke = true;
+    const auto spec = runner::findFigure("channel-scaling")->make(opts);
+    std::size_t checked = 0;
+    for (const auto &job : runner::expandJobs(spec)) {
+        if (job.param("channels") != 1)
+            continue;
+        checked += 1;
+        const auto rows = spec.job(job);
+        ASSERT_EQ(rows.size(), 1u);
+        const auto &row = rows[0];
 
-    core::ChannelRunSpec run;
-    run.pattern = cell.pattern;
-    run.message_bytes = cell.message_bytes;
-    run.seed = cell.seed;
-    const auto single = core::runChannel(run);
-
-    const auto &pair = aggregate.per_channel[0];
-    EXPECT_EQ(pair.sent, single.sent);
-    EXPECT_EQ(pair.received, single.received);
-    EXPECT_EQ(pair.symbol_error, single.symbol_error);
-    EXPECT_EQ(pair.capacity, single.capacity);
-    EXPECT_EQ(pair.backoffs, single.backoffs);
-    EXPECT_GT(single.backoffs, 0u);
+        core::ChannelRunSpec run;
+        run.pattern = static_cast<attack::MessagePattern>(
+            static_cast<int>(job.param("pattern")));
+        run.message_bytes = 4; // The figure's smoke-scale payload.
+        run.seed = job.seed;
+        const auto single = core::runChannel(run);
+        EXPECT_EQ(row[2], single.raw_bit_rate);
+        EXPECT_EQ(row[3], single.symbol_error);
+        EXPECT_EQ(row[4], single.capacity);
+        EXPECT_GT(single.backoffs, 0u);
+    }
+    EXPECT_GT(checked, 0u);
 }
 
 TEST(Experiments, NoDefenseCellIsExactlyUnityAtAnyNrh)
@@ -140,9 +145,9 @@ TEST(Experiments, FingerprintDatasetShapes)
     spec.sites = 3;
     spec.loads_per_site = 2;
     spec.duration = sim::kMs;
-    const auto raw = core::collectFingerprints(spec);
-    ASSERT_EQ(raw.size(), 6u);
-    const auto data = core::fingerprintDataset(raw);
+    const auto rows = runner::runSweep(runner::collectionSpec(spec), 1);
+    ASSERT_EQ(rows.rows.size(), 6u);
+    const auto data = runner::datasetFromRows(rows);
     EXPECT_EQ(data.size(), 6u);
     EXPECT_EQ(data.n_classes, 3);
     EXPECT_EQ(data.features(), 39u);

@@ -345,7 +345,7 @@ TEST(Fuzz, SingleRowPatternReplaysCrossDefenseCell)
 
         core::ChannelRunSpec run;
         run.kind = core::channelKindFor(kind);
-        run.defense = core::crossDefenseSystemConfig(kind).defense;
+        run.defense = core::attackSystem(kind).defense;
         run.message_bytes = 4;
         run.seed = 5;
         const attack::ChannelResult cell = core::runChannel(run);

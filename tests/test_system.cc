@@ -260,7 +260,7 @@ TEST(SystemAllocation, LatencyProbeSteadyStateDoesNotAllocate)
 {
     // Fig. 2's probe: Listing 1 alternating two rows of one bank under
     // PRAC, so the measured stretch crosses back-offs and refreshes.
-    System system(leaky::core::pracAttackSystem());
+    System system(leaky::core::attackSystem(DefenseKind::kPrac));
     leaky::attack::ProbeConfig probe_cfg;
     probe_cfg.addrs = {
         leaky::attack::rowAddress(system.mapper(), 0, 0, 0, 0, 1000),
@@ -291,7 +291,7 @@ TEST(SystemAllocation, CovertPairSteadyStateDoesNotAllocate)
     // multi-window transmission that mixes back-off windows (logic-1)
     // with idle ones (logic-0), so the measured stretch covers window
     // turnovers, early sleeps and stale in-flight loads.
-    System system(leaky::core::pracAttackSystem());
+    System system(leaky::core::attackSystem(DefenseKind::kPrac));
     const auto cfg = leaky::attack::makeChannelConfig(
         system, leaky::attack::ChannelKind::kPrac);
     leaky::attack::CovertSender sender(system, cfg);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate: keep the documentation verifiably in sync with the code.
 
-Five checks, stdlib-only so CI and laptops run it with any Python 3:
+Six checks, stdlib-only so CI and laptops run it with any Python 3:
 
 1. **Figure catalogue coverage** (needs --names): every figure name the
    `leakyhammer` binary registers must have a `### `name`` entry in
@@ -35,6 +35,10 @@ Five checks, stdlib-only so CI and laptops run it with any Python 3:
    (http/https/mailto) links and pure #anchors are skipped; a trailing
    #fragment on a relative link is stripped before the check.
 
+6. **Core API names** (always): every `core::<identifier>` named in
+   README.md or docs/*.md must be declared in src/core/*.hh (comments
+   stripped) — the docs cannot point readers at a deleted runner.
+
 Exit status: 0 = docs in sync, 1 = at least one failure, 2 = bad
 invocation.
 """
@@ -52,6 +56,9 @@ EXTERNAL = ("http://", "https://", "mailto:")
 # A registry-table row of docs/EXPERIMENTS.md: | `figures_<family>.cc` |
 TABLE_ROW_RE = re.compile(r"^\|\s*`figures_\w+\.cc`\s*\|")
 BACKTICK_RE = re.compile(r"`([^`]+)`")
+CORE_NAME_RE = re.compile(r"\bcore::([A-Za-z_]\w*)")
+# // line comments and /* block */ comments of a C++ header.
+COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
 
 
 def repo_root():
@@ -239,6 +246,29 @@ def check_links(files, failures):
     print("check_docs: %d relative links checked" % checked)
 
 
+def check_core_names(root, files, failures):
+    """`core::<identifier>` in the docs <-> declarations in src/core."""
+    core_dir = os.path.join(root, "src", "core")
+    code = ""
+    for name in sorted(os.listdir(core_dir)):
+        if name.endswith(".hh"):
+            with open(os.path.join(core_dir, name)) as fh:
+                code += COMMENT_RE.sub(" ", fh.read()) + "\n"
+    declared = set(re.findall(r"\b[A-Za-z_]\w*\b", code))
+    named = 0
+    for path in files:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                for ident in CORE_NAME_RE.findall(line):
+                    named += 1
+                    if ident not in declared:
+                        failures.append(
+                            "%s:%d: names 'core::%s', which src/core/*.hh "
+                            "does not declare"
+                            % (os.path.relpath(path, root), lineno, ident))
+    print("check_docs: %d core:: names checked" % named)
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -269,6 +299,7 @@ def main(argv):
                              failures)
     check_lint_rules(root, failures)
     check_links(doc_files(root), failures)
+    check_core_names(root, doc_files(root), failures)
 
     for failure in failures:
         print("check_docs: %s" % failure, file=sys.stderr)
